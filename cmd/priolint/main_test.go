@@ -139,11 +139,6 @@ func TestDriverInjectMarker(t *testing.T) {
 		"testdata/src/respdetclean/respdetclean.go":     "// INJECT: clock read goes here",
 		"testdata/src/bceclean/bceclean.go":             "// INJECT: unprovable index goes here",
 		"testdata/src/devirtclean/devirtclean.go":       "// INJECT: interface call through a variable goes here",
-		// Not a fixture: CI also rehearses the injection against the
-		// real kernel, turning the ranker hook's local pin into a call
-		// through the mutable package-level hook that the compiler
-		// cannot devirtualize.
-		"../../internal/sim/kernelfast.go": "// INJECT: ranker call through the mutable hook goes here",
 	} {
 		src, err := os.ReadFile(file)
 		if err != nil {

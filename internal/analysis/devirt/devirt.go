@@ -13,19 +13,15 @@
 // reachability rule would force annotations onto genuinely polymorphic
 // code. Calls on cold paths (panic arguments, blocks ending in panic
 // or a non-nil error return) are exempt, mirroring the noalloc
-// exemptions. The CI injection probes — one against the devirtclean
-// fixture, one that un-pins the real kernel's ranker hook — prove the
-// check is not vacuous.
+// exemptions. The CI injection probe against the devirtclean fixture
+// proves the check is not vacuous.
 //
 // A function may additionally (or instead) be annotated //prio:devirt:
 // the same proof obligation on its interface calls, plus a census
 // obligation — the body must contain at least one non-cold interface
-// call. That positive half exists for deliberate devirtualized seams
-// like the replication kernel's ranker hook: without it, deleting the
-// hook (or refactoring it into a direct field read) would leave the
-// pragma asserting a proof about nothing, and the "every ranker family
-// is dispatched through one proven call site" claim would rot
-// silently.
+// call. That positive half exists for deliberate devirtualized seams:
+// without it, refactoring the seam away (say, into a direct field
+// read) would leave the pragma asserting a proof about nothing.
 package devirt
 
 import (

@@ -226,10 +226,8 @@
 // noalloc uses. A function annotated //prio:devirt opts into the same
 // obligation plus a census: its body must contain at least one
 // non-cold interface call. The pragma marks deliberate devirtualized
-// seams — the replication kernel's ranker hook, where every
-// static-rank policy family is read through one staticRank call site —
-// and the census keeps the proof honest: refactor the seam away and
-// the pragma turns red instead of asserting a proof about nothing.
+// seams, and the census keeps the proof honest: refactor the seam away
+// and the pragma turns red instead of asserting a proof about nothing.
 //
 // Escape cross-check (analyzer escapecheck). The noalloc analyzer is
 // an abstract interpreter with a documented rulebook of exemptions;

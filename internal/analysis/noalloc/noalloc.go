@@ -67,7 +67,7 @@
 //
 //	(*Runner).Run is annotated //prio:noalloc but can reach a growing
 //	append at kernel.go:57 (path: (*Runner).Run → (*runState).run →
-//	(*eventQueue).appendBurst)
+//	(*runState).push)
 package noalloc
 
 import (

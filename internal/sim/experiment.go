@@ -3,10 +3,8 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"repro/internal/dag"
-	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -113,78 +111,6 @@ func assembleMeasurements(name string, execT, stall, util []float64, opts Experi
 	pm.StallSummary = stats.Summarize(pm.Stalling)
 	pm.UtilSummary = stats.Summarize(pm.Utilization)
 	return pm
-}
-
-// measureReference is the pre-engine measurement path: P·Q simulations
-// of one policy at one point, distributed over a dedicated worker pool,
-// one freshly allocated rng.Source per replication. It is retained as
-// the executable specification of the seed-derivation contract — the
-// differential tests pin CompareGrid's output to it bit-for-bit — and
-// is not used by the production drivers.
-func measureReference(g *dag.Frozen, p Params, pol func() Policy, opts ExperimentOptions, seedStream *rng.Source) PolicyMeasurements {
-	total := opts.P * opts.Q
-	seeds := make([]uint64, total)
-	for i := range seeds {
-		seeds[i] = seedStream.Uint64()
-	}
-	execT := make([]float64, total)
-	stall := make([]float64, total)
-	util := make([]float64, total)
-
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	workers := opts.Workers
-	if workers > total {
-		workers = total
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			policy := pol()
-			for i := range jobs {
-				m := Run(g, p, policy, rng.New(seeds[i]))
-				execT[i] = m.ExecutionTime
-				stall[i] = m.StallProbability
-				util[i] = m.Utilization
-			}
-		}()
-	}
-	for i := 0; i < total; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-
-	return assembleMeasurements("", execT, stall, util, opts)
-}
-
-// compareReference is the pre-engine Compare: one point, each policy
-// measured by measureReference in sequence. Differential tests compare
-// it against the engine.
-func compareReference(g *dag.Frozen, p Params, a, b func() Policy, opts ExperimentOptions) Comparison {
-	opts = opts.normalized()
-	if err := p.validate(); err != nil {
-		panic(err)
-	}
-	// Independent deterministic seed streams per policy.
-	base := rng.New(opts.Seed)
-	streamA := base.Split()
-	streamB := base.Split()
-
-	ma := measureReference(g, p, a, opts, streamA)
-	ma.Name = a().Name()
-	mb := measureReference(g, p, b, opts, streamB)
-	mb.Name = b().Name()
-
-	return Comparison{
-		Params:      p,
-		A:           ma,
-		B:           mb,
-		ExecTime:    stats.RatioInterval(ma.ExecTime, mb.ExecTime, opts.Confidence),
-		Stalling:    stats.RatioInterval(ma.Stalling, mb.Stalling, opts.Confidence),
-		Utilization: stats.RatioInterval(ma.Utilization, mb.Utilization, opts.Confidence),
-	}
 }
 
 // Compare measures two policies on g at the given parameters and builds

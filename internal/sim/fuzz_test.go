@@ -19,21 +19,21 @@ import (
 // target shows the pooling it uses to get there never changes a
 // result.
 //
-// Two further references pin the order-free fast path (kernelfast.go):
-// every input also runs through the kernel with the fast path forced
-// off (noFast), which must agree bit for bit — for order-sensitive
-// policies that is the same path twice, for Oblivious inputs it is the
-// fast calendar against the sort-merge queue. And when the input lands
-// in the fast path's domain (Oblivious, no failures, no rollover), the
-// result is additionally checked against runNaiveOblivious, an
-// independent quadratic rescan specification that shares no eligibility
-// tracking, event queue, or id relabeling with either kernel. The seed
-// corpus lives in testdata/fuzz/FuzzKernelReplication.
+// Two further references pin the calendar's drain modes (kernel.go):
+// every input also runs through runOrdered, the test-only sort-merge
+// reference kernel, which must agree bit for bit — in exact mode for
+// order-sensitive inputs, in set mode for Oblivious ones. And when the
+// input lands in set mode's domain (Oblivious, no failures, no
+// rollover), the result is additionally checked against
+// runNaiveOblivious, an independent quadratic rescan specification
+// that shares no eligibility tracking, event queue, or id relabeling
+// with either kernel. The seed corpus lives in
+// testdata/fuzz/FuzzKernelReplication.
 func FuzzKernelReplication(f *testing.F) {
 	f.Add([]byte{0xff, 0x0f}, uint8(0), uint16(100), uint16(400), uint8(0), false, uint64(1), uint64(2))
 	f.Add([]byte{0xaa, 0x55, 0x33}, uint8(1), uint16(30), uint16(800), uint8(15), false, uint64(7), uint64(7))
 	f.Add([]byte{0x01}, uint8(2), uint16(250), uint16(100), uint8(40), true, uint64(3), uint64(9))
-	// Fast-path domain: oblivious policies at zero failure probability,
+	// Set-mode domain: oblivious policies at zero failure probability,
 	// covering tiny and huge batch sizes and both seeds equal.
 	f.Add([]byte{0x07, 0xff, 0xf0}, uint8(0), uint16(5), uint16(1599), uint8(0), false, uint64(11), uint64(11))
 	f.Add([]byte{0xff, 0xff, 0xff, 0x0f}, uint8(4), uint16(299), uint16(1), uint8(0), false, uint64(21), uint64(4))
@@ -48,7 +48,7 @@ func FuzzKernelReplication(f *testing.F) {
 			// Clamp into the validated ranges; the shapes the paper
 			// sweeps (Section 4.2) all fall inside these. The low bit of
 			// failPct gates failures entirely so half the input space
-			// lands in the fast path's no-failure domain.
+			// lands in set mode's no-failure domain.
 			BatchInterarrival: 0.05 + float64(muBIT%300)/100,
 			BatchSize:         0.5 + float64(muBS%1600)/100,
 			JobTimeMean:       1.0,
@@ -61,7 +61,7 @@ func FuzzKernelReplication(f *testing.F) {
 		// and the high bit switches to a composed tie-breaker chain
 		// drawn from the ranker registry — rotation and length come
 		// from the remaining bits, so every component appears in every
-		// chain position across the corpus and the fast path's
+		// chain position across the corpus and set mode's
 		// bit-identity is fuzzed for ad-hoc compositions too.
 		var name string
 		if polSel&0x80 != 0 {
@@ -83,19 +83,16 @@ func FuzzKernelReplication(f *testing.F) {
 		}
 
 		runner := NewRunner(g)
-		slow := NewRunner(g)
-		slow.st.noFast = true
 		pooled := factory()
-		slowPol := factory()
 		for _, seed := range []uint64{seed1, seed2} {
 			got := runner.Run(p, pooled, seed)
 			want := Run(g, p, factory(), rng.New(seed))
 			if got != want {
 				t.Fatalf("seed %d: pooled kernel %+v, fresh run %+v", seed, got, want)
 			}
-			ordered := slow.Run(p, slowPol, seed)
+			ordered := runOrdered(g, p, factory(), rng.New(seed), nil)
 			if got != ordered {
-				t.Fatalf("seed %d: fast path %+v, ordered kernel %+v", seed, got, ordered)
+				t.Fatalf("seed %d: kernel %+v, reference kernel %+v", seed, got, ordered)
 			}
 			if o, ok := pooled.(*Oblivious); ok && p.FailureProb == 0 && !p.RolloverWorkers {
 				naive := runNaiveOblivious(g, p, o.order, rng.New(seed))
@@ -107,7 +104,7 @@ func FuzzKernelReplication(f *testing.F) {
 	})
 }
 
-// runNaiveOblivious is the executable specification the fast path is
+// runNaiveOblivious is the executable specification set mode is
 // fuzzed against: a deliberately quadratic simulation of the oblivious
 // regimen with no shared machinery — eligibility is a full rescan of
 // every job's parents on every assignment, and pending completions sit

@@ -1,372 +1,572 @@
-// The allocation-free replication kernel. One paper-scale Figures 6-9
-// grid is 7×9 points × 2 policies × P·Q = 300·300 replications ≈ 11.3M
-// simulator runs, so the per-run constant factor dominates the whole
-// evaluation. This file keeps the discrete-event loop of model.go but
-// moves every piece of per-run state into a reusable runState owned by
-// a Runner, so that in steady state a replication performs zero heap
-// allocations:
+// The replication kernel. One paper-scale Figures 6-9 grid is 7×9
+// points × 2 policies × P·Q = 300·300 replications ≈ 11.3M simulator
+// runs, so the per-run constant factor dominates the whole evaluation.
+// Every policy runs on the one discrete-event loop below, and all
+// per-run state lives in a runState that a Runner reuses, so a
+// steady-state replication performs zero heap allocations.
 //
-//   - completion events live in a sort-merge eventQueue (bursts of
-//     assignments are bulk-sorted and merged, pops advance an index)
-//     instead of container/heap, whose interface{} Push/Pop box every
-//     event and pay O(log w) dependent cache misses per sift at
-//     fan-out w — tens of thousands of in-flight jobs on the paper's
-//     SDSS dag;
-//   - the per-completion child walk reads the dag.Frozen's CSR arena
-//     directly (ChildCSR: one contiguous int32 array with absolute
-//     start offsets), so the kernel needs no adjacency flattening of
-//     its own and the remaining-parents counters reset from the
-//     precomputed indegrees;
-//   - the random source is reseeded in place (rng.Source.Reseed)
-//     rather than constructed per replication;
-//   - policies reset in place in Start, keeping their eligible sets in
-//     bitset.MinSet bitmaps rather than freshly allocated btrees (see
-//     policy.go, extensions.go).
+// Pending completions live in a bucket calendar (a single-level timing
+// wheel): a flat event arena threaded into intrusive per-bucket lists by
+// bucket(t) = int(t*invW). Multiplication by a positive constant is
+// monotone, so an earlier bucket never holds a later event. Events past
+// the wheel's horizon chain into an overflow list. The calendar drains
+// in one of two modes, fixed per replication:
+//
+//   - Set mode serves a staticRank policy with no failures, rollover,
+//     per-job means or observer. Such a policy is a set — Next pops the
+//     minimum rank of the eligible set — so the order of completions
+//     between two batch arrivals is unobservable: drain empties whole
+//     buckets unsorted, filters only the boundary bucket, and reports
+//     the latest insert as the final completion. Eligibility goes
+//     straight into bitset words, walking children in a topo-relabeled
+//     id space so a completion's children cluster in memory.
+//   - Exact mode serves everything that consumes pop order (FIFO,
+//     RANDOM, TwoLevel, failure draws, rollover assignments, per-job
+//     means, the Observer). next hands out completions one at a time in
+//     global (at, job) order: the bucket being drained is loaded into a
+//     sorted buffer, an insert that lands in it joins the buffer, and
+//     overflow events cascade onto the ring as the base reaches them.
+//
+// Both modes draw randomness in the model's order — batch size, one job
+// time per assignment, a failure draw per completion, interarrival — so
+// an Oblivious policy gives bit-identical metrics in either. The tests
+// pin the kernel to a test-only copy of the original sort-merge kernel
+// (runOrdered), a naive rescan specification, and the pre-engine
+// goldens.
 package sim
 
 import (
+	"fmt"
+	"math"
+	"math/bits"
+
+	"repro/internal/bitset"
 	"repro/internal/dag"
 	"repro/internal/rng"
 )
 
-// completion is a pending job completion event.
+// buckets is the wheel size (a power of two). At the finest resolution
+// start picks, the wheel spans 2*(JobTimeMean+8*JobTimeStdDev): at the
+// paper's N(1, 0.1) job times a bucket covers ~0.44ms of simulated time,
+// and a burst of 8192 assignments spreads across ~1800 buckets.
+const buckets = 8192
+
+// completion is a pending job completion, exact mode's unit of work.
 type completion struct {
 	at  float64
 	job int32
 }
 
-// eventHeap is an 8-ary min-heap of completion events ordered by time.
-// In the kernel it only backs eventQueue's overflow path (mid-drain
-// rollover assignments), so it is almost always empty or tiny; the bulk
-// of the event traffic goes through the queue's sorted array. Sifts
-// move a hole instead of swapping, with the same compare sequence (and
-// therefore the same final layout) as the textbook swap formulation.
-type eventHeap []completion
-
-//prio:noalloc
-func (h *eventHeap) push(ev completion) {
-	*h = append(*h, ev) // self-append: amortized high-water-mark growth
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := int(uint(i-1) / 8)
-		if s[parent].at <= ev.at {
-			break
-		}
-		s[i] = s[parent]
-		i = parent
-	}
-	s[i] = ev
+// before is the exact drain order: completion time, ties (which only
+// the 1e-3 job-time floor can produce) by job id.
+func (c completion) before(d completion) bool {
+	return c.at < d.at || c.at == d.at && c.job < d.job
 }
 
-// pop removes and returns the minimum event. It must not be called on
-// an empty heap.
+// event is one pending completion in the calendar's arena: the
+// completion time, the job id (topo-relabeled in set mode, original in
+// exact mode), and the arena index of the next event in the same bucket
+// (-1 ends the chain).
+type event struct {
+	at   float64
+	job  int32
+	next int32
+}
+
+// runState is the pooled state of one worker's replications: the
+// calendar, exact mode's sorted bucket, and set mode's relabeled
+// topology and rank tables, rebuilt only when the policy instance or
+// the dag changes. The zero value is ready to use; buffers grow on
+// first use and are then only truncated.
 //
-//prio:noalloc
-func (h *eventHeap) pop() completion {
-	s := *h
-	min := s[0]
-	last := len(s) - 1
-	ev := s[last]
-	*h = s[:last]
-	s = s[:last]
-	if last == 0 {
-		return min
-	}
-	i := 0
-	for {
-		first := 8*i + 1
-		if first >= last {
-			break
-		}
-		smallest := first
-		end := first + 8
-		if end > last {
-			end = last
-		}
-		for c := first + 1; c < end; c++ {
-			if s[c].at < s[smallest].at {
-				smallest = c
-			}
-		}
-		if ev.at <= s[smallest].at {
-			break
-		}
-		s[i] = s[smallest]
-		i = smallest
-	}
-	s[i] = ev
-	return min
-}
-
-// eventQueue is the kernel's pending-completion queue, shaped around
-// the model's bursty event pattern: completions are pushed in bursts
-// when a batch of worker requests is assigned, and popped in long
-// uninterrupted runs while the simulation drains to the next batch
-// arrival. Instead of paying a heap sift per event — O(log w)
-// dependent cache misses on a wide dag with w in-flight jobs — the
-// queue appends each burst unsorted, sorts the live region once per
-// burst (pdqsort, which is near-linear on the already-sorted remainder
-// plus the new tail), and then pops by advancing an index: O(1) per
-// event, sequential memory.
-//
-// The one interleaving that pushes during a drain is the rollover
-// branch (workers waiting from an earlier under-filled batch grab jobs
-// the moment a completion makes them eligible). Those events go to a
-// small overflow min-heap, and pop/minAt take the smaller of the two
-// fronts, so extraction order is the exact global time order in every
-// case. Equal timestamps across the two structures (or within a sort,
-// which is unstable) are broken arbitrarily — as in any heap, and
-// unobservable in practice: job times are continuous, so exact ties
-// have measure zero.
-//
-// All backing arrays are truncated and reused across replications;
-// steady-state operation allocates nothing.
-type eventQueue struct {
-	buf     []completion // buf[head:sorted) ascending; buf[sorted:] unsorted appends
-	head    int
-	sorted  int
-	over    eventHeap    // small-burst and mid-drain pushes
-	scratch []completion // merge target, swapped with buf
-}
-
-//prio:noalloc
-func (q *eventQueue) reset() {
-	q.buf = q.buf[:0]
-	q.head = 0
-	q.sorted = 0
-	q.over = q.over[:0]
-}
-
-//prio:noalloc
-func (q *eventQueue) len() int { return len(q.buf) - q.head + len(q.over) }
-
-// appendBurst adds an event without restoring order. The caller must
-// normalize before the next minAt/pop. Used for batch-arrival
-// assignments, which never interleave with pops.
-//
-//prio:noalloc
-func (q *eventQueue) appendBurst(at float64, job int32) {
-	q.buf = append(q.buf, completion{at: at, job: job})
-}
-
-// pushSorted adds an event while the queue is live (mid-drain rollover
-// assignments). It goes to the overflow heap, keeping the sorted
-// region intact.
-//
-//prio:noalloc
-func (q *eventQueue) pushSorted(at float64, job int32) {
-	q.over.push(completion{at: at, job: job})
-}
-
-// sortCompletions orders s ascending by completion time: a
-// median-of-three quicksort (Sedgewick's sentinel formulation) over an
-// insertion-sort base case, hand-specialized to completion so the
-// float compares inline — slices.SortFunc pays an indirect call per
-// comparison, which dominated the kernel at wide fan-out. Completion
-// times are i.i.d. continuous draws, so adversarial pivot sequences
-// have probability zero and no pattern defense is needed.
-//
-//prio:noalloc
-func sortCompletions(s []completion) {
-	for len(s) > 24 {
-		// Median of first/middle/last becomes the pivot in s[0]; the
-		// ordering leaves a >= pivot sentinel at the top for the i scan
-		// and the pivot itself bounds the j scan.
-		m := len(s) / 2
-		l := len(s) - 1
-		if s[m].at < s[0].at {
-			s[m], s[0] = s[0], s[m]
-		}
-		if s[l].at < s[0].at {
-			s[l], s[0] = s[0], s[l]
-		}
-		if s[m].at < s[l].at {
-			s[m], s[l] = s[l], s[m]
-		}
-		s[0], s[l] = s[l], s[0] // pivot (median) to s[0], max of three to s[l]
-		v := s[0].at
-		i, j := 0, l+1
-		for {
-			for i++; s[i].at < v && i < l; i++ {
-			}
-			for j--; v < s[j].at; j-- {
-			}
-			if i >= j {
-				break
-			}
-			s[i], s[j] = s[j], s[i]
-		}
-		s[0], s[j] = s[j], s[0]
-		// Recurse into the smaller half, iterate on the larger.
-		if j < len(s)-j-1 {
-			sortCompletions(s[:j])
-			s = s[j+1:]
-		} else {
-			sortCompletions(s[j+1:])
-			s = s[:j]
-		}
-	}
-	for i := 1; i < len(s); i++ {
-		ev := s[i]
-		j := i - 1
-		for ; j >= 0 && s[j].at > ev.at; j-- {
-			s[j+1] = s[j]
-		}
-		s[j+1] = ev
-	}
-}
-
-// normalize restores the queue invariant after appendBurst calls. A
-// burst that is large relative to the live sorted region is sorted on
-// its own and then linearly merged with the region into the scratch
-// buffer — O(burst·log burst + live) with sequential memory access,
-// the case a heap handles worst. A small burst is instead fed to the
-// overflow heap, because an O(live) merge per handful of events would
-// be quadratic across the many small batches of a short-interarrival
-// grid point; with every burst small the queue degrades gracefully
-// into the plain heap it embeds. No-op when nothing was appended.
-//
-//prio:noalloc
-func (q *eventQueue) normalize() {
-	tail := len(q.buf) - q.sorted
-	if tail == 0 {
-		return
-	}
-	live := q.sorted - q.head
-	if tail*32 < live {
-		for _, ev := range q.buf[q.sorted:] {
-			q.over.push(ev)
-		}
-		q.buf = q.buf[:q.sorted]
-		return
-	}
-	// The overflow heap is deliberately left alone: folding it in here
-	// would re-sort the same events once per fold (quadratic when burst
-	// sizes oscillate around the threshold). Events enter the sorted
-	// region or the heap exactly once; pop drains both.
-	sortCompletions(q.buf[q.sorted:])
-	if live == 0 {
-		n := copy(q.buf, q.buf[q.sorted:])
-		q.buf = q.buf[:n]
-		q.head = 0
-		q.sorted = n
-		return
-	}
-	a, b := q.buf[q.head:q.sorted], q.buf[q.sorted:]
-	out := q.scratch[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].at <= b[j].at {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	q.scratch = q.buf[:0]
-	q.buf = out
-	q.head = 0
-	q.sorted = len(out)
-}
-
-// minAt returns the earliest pending completion time. The queue must
-// be normalized and non-empty; an empty queue panics, as the implicit
-// bounds check used to. Fields are hoisted to locals and the head index
-// compared as uint so the sorted-region reads carry no bounds checks.
-//
-//prio:noalloc
-//prio:nobce
-func (q *eventQueue) minAt() float64 {
-	buf, head, over := q.buf, q.head, q.over
-	if uint(head) < uint(len(buf)) {
-		if len(over) > 0 && over[0].at < buf[head].at {
-			return over[0].at
-		}
-		return buf[head].at
-	}
-	if len(over) > 0 {
-		return over[0].at
-	}
-	panic("sim: minAt on empty eventQueue")
-}
-
-// pop removes and returns the earliest event. The queue must be
-// normalized and non-empty; popping an empty queue panics in the
-// overflow heap, as the implicit bounds check here used to. Same
-// hoisted-local shape as minAt for the same bounds-check-free reason.
-//
-//prio:noalloc
-//prio:nobce
-func (q *eventQueue) pop() (float64, int32) {
-	buf, head, over := q.buf, q.head, q.over
-	if uint(head) < uint(len(buf)) {
-		if len(over) > 0 && over[0].at < buf[head].at {
-			ev := q.over.pop()
-			return ev.at, ev.job
-		}
-		ev := buf[head]
-		q.head = head + 1
-		if head+1 == len(buf) {
-			q.buf = buf[:0]
-			q.head = 0
-			q.sorted = 0
-		}
-		return ev.at, ev.job
-	}
-	ev := q.over.pop()
-	return ev.at, ev.job
-}
-
-// runState is the reusable per-worker state of one replication: the
-// remaining-parents counters and the completion-event queue. The dag
-// needs no per-Runner flattening — the shared dag.Frozen CSR layout
-// (one int32 arc arena with absolute childStart offsets, precomputed
-// indegrees and sources) is exactly the array pair the hot child walk
-// wants, so the kernel borrows views of it directly. The zero value is
-// ready to use; run grows the buffers on first use and then only
-// truncates them.
+// rem and rank are deliberately separate arrays, not one fused record:
+// the completion walk decrements rem once per arc but reads rank only
+// once per node ever, so splitting halves the hot working set.
 type runState struct {
+	owner *Oblivious // set-mode cache key: rebuilt when the policy changes
+	g     *dag.Frozen
+
+	// Set mode's topo-relabeled topology: node i is the i-th node of
+	// g.Topo(), so sources are exactly the ids [0, nSources) and a
+	// completion's children cluster just after it in id space.
+	childStart []int32
+	children   []int32
+	initRem    []int32
+	rem        []int32 // remaining unexecuted parents
+	rank       []int32 // position under the policy's total order
+	jobOfRank  []int32 // rank -> topo-relabeled id
+	nSources   int
+	elig       bitset.MinSet
+
+	// remaining counts unexecuted parents in the original id space
+	// (exact mode, which walks g's own CSR and calls the policy).
 	remaining []int32
-	pending   eventQueue
-	// fast is the order-free kernel (kernelfast.go) used when the
-	// policy and parameters admit it; noFast forces the ordered path
-	// (the differential tests compare the two).
-	fast   fastKernel
-	noFast bool
+
+	// Bucket calendar. heads is a fixed-size array — not a slice — so
+	// that masked bucket indexing (vi & (buckets-1), plus the constant
+	// overflow slot) is provably in-bounds and the hot drain and insert
+	// loops compile without bounds checks.
+	events  []event
+	heads   [buckets + 1]int32 // buckets ring slots + 1 overflow slot
+	invW    float64            // buckets per unit simulated time
+	baseVi  int                // wheel base: live ring events are in [baseVi, baseVi+buckets)
+	live    int                // events in the ring
+	overCnt int                // events in the overflow chain
+	overMin float64            // minimum time in the overflow chain
+	// occ has one bit per non-empty ring slot, so a drain jumps empty
+	// ranges by trailing-zero scans instead of probing heads.
+	occ [buckets / 64]uint64
+	// maxIns is the latest completion time ever scheduled: set mode's
+	// final completion, since there every event completes and drain
+	// windows advance in time.
+	maxIns float64
+	// clean records that the last replication ran to completion, which
+	// leaves every chain empty: start then skips clearing the heads.
+	clean bool
+
+	// cur is exact mode's current bucket, baseVi, sorted by (at, job):
+	// cur[ci:] is still pending. The ring then holds only later
+	// buckets; an insert at or before baseVi goes into cur.
+	cur []completion
+	ci  int
 }
 
-// reset prepares the state for a replication on g, reusing capacity.
-// The queue's backing arrays are pre-sized to the job count up front:
-// without failures a run inserts at most n events between full drains,
-// so paying the high-water allocation once here (instead of letting
-// append discover it) means steady state stops growing entirely — the
-// sdss benchmarks used to report ~13 KB/op of amortized regrowth from
-// seeds that set a new burst high-water mark mid-run.
+// build derives the topo-relabeled topology and rank tables for (g, o),
+// reusing every buffer whose size still fits. Rebuilding for a policy
+// change on the same dag touches no allocator.
+func (st *runState) build(g *dag.Frozen, o *Oblivious) {
+	order := o.StaticOrder()
+	n := g.NumNodes()
+	if len(order) != n {
+		panic(fmt.Sprintf("sim: order covers %d jobs, dag has %d", len(order), n))
+	}
+	st.owner, st.g = o, g
+	topo, pos := g.Topo(), g.TopoPositions()
+	cs, ch := g.ChildCSR()
+	st.childStart = resize(st.childStart, n+1)
+	st.children = resize(st.children, int(cs[n]))
+	st.initRem = resize(st.initRem, n)
+	st.rem = resize(st.rem, n)
+	st.rank = resize(st.rank, n)
+	st.jobOfRank = resize(st.jobOfRank, n)
+	w := int32(0)
+	for i, v := range topo {
+		st.childStart[i] = w
+		for ci := cs[v]; ci < cs[v+1]; ci++ {
+			st.children[w] = pos[ch[ci]]
+			w++
+		}
+		st.initRem[i] = int32(g.InDegree(int(v)))
+	}
+	st.childStart[n] = w
+	for r, v := range order {
+		j := pos[v]
+		st.jobOfRank[r] = j
+		st.rank[j] = int32(r)
+	}
+	st.nSources = len(g.Sources())
+}
+
+// resize returns s if it has length n, else a fresh zeroed slice.
+func resize(s []int32, n int) []int32 {
+	if len(s) != n {
+		return make([]int32, n)
+	}
+	return s
+}
+
+// start resets st for a replication of g: an empty calendar whose
+// resolution suits p's job-time distribution and the drain mode, and
+// that mode's remaining-parents counters. Set mode also seeds its
+// eligible set with the sources' ranks; exact mode leaves eligibility
+// to the policy. The arena is pre-sized to the job count — a job is
+// pending at most once at a time, so only re-assignments after failures
+// grow it — and so is exact mode's bucket buffer.
 //
 //prio:noalloc
-func (st *runState) reset(g *dag.Frozen, n int) {
-	if cap(st.remaining) < n {
-		st.remaining = make([]int32, n)
+//prio:nobce
+func (st *runState) start(g *dag.Frozen, p Params, exact bool) {
+	n := g.NumNodes()
+	if !st.clean {
+		for i := range st.heads {
+			st.heads[i] = -1
+		}
+		for i := range st.occ {
+			st.occ[i] = 0
+		}
+	}
+	st.clean = false
+	if cap(st.events) < n {
+		st.events = make([]event, 0, n)
+	}
+	st.events = st.events[:0]
+	// res is buckets per effective job-time span. Set mode never sorts,
+	// so it walks few, full buckets. Exact mode sorts every bucket it
+	// loads, so its resolution tracks the mean burst, landing a few
+	// events per bucket, up to a wheel spanning two job-time spans.
+	span := p.JobTimeMean + 8*p.JobTimeStdDev + 1e-3
+	res := float64(buckets / 16)
+	if exact {
+		res = math.Min(math.Max(p.BatchSize, buckets/16), buckets/2)
+	}
+	st.invW = res / span
+	st.baseVi = 0
+	st.live = 0
+	st.overCnt = 0
+	st.overMin = math.Inf(1)
+	st.maxIns = 0
+	st.cur = st.cur[:0]
+	st.ci = 0
+	if exact {
+		st.remaining = resize(st.remaining, n)
+		if cap(st.cur) < n {
+			st.cur = make([]completion, 0, n)
+		}
+		remaining := st.remaining
+		for v := range remaining {
+			remaining[v] = int32(g.InDegree(v))
+		}
+		return
+	}
+	copy(st.rem, st.initRem)
+	rank, nSources := st.rank, st.nSources
+	if nSources > len(rank) {
+		panic("sim: start: sources exceed rank table")
+	}
+	st.elig.Reset(len(st.rem))
+	for i := 0; i < nSources; i++ {
+		st.elig.Add(int(rank[i]))
+	}
+}
+
+// insert schedules the completion of job at time at on the ring, or
+// on the overflow chain past the wheel's horizon. Both slot values are
+// provably in-bounds for the heads array: the ring branch masks with
+// buckets-1 and the overflow branch uses the constant last slot.
+//
+//prio:noalloc
+//prio:nobce
+func (st *runState) insert(at float64, job int32) {
+	if at > st.maxIns {
+		st.maxIns = at
+	}
+	i := int32(len(st.events))
+	vi := int(at * st.invW)
+	slot := uint(buckets)
+	if vi-st.baseVi < buckets {
+		slot = uint(vi) & (buckets - 1)
+		st.occ[(slot>>6)&(buckets/64-1)] |= 1 << (slot & 63)
+		st.live++
 	} else {
-		st.remaining = st.remaining[:n]
+		if at < st.overMin {
+			st.overMin = at
+		}
+		st.overCnt++
 	}
-	for v := 0; v < n; v++ {
-		st.remaining[v] = int32(g.InDegree(v))
+	// The clamp never fires (slot is buckets or a masked ring index);
+	// it hands the prover the upper bound the branch merge loses, so
+	// both heads accesses are check-free.
+	if slot > buckets {
+		slot = buckets
 	}
-	if cap(st.pending.buf) < n {
-		st.pending.buf = make([]completion, 0, n)
+	st.events = append(st.events, event{at: at, job: job, next: st.heads[slot]})
+	st.heads[slot] = i
+}
+
+// complete processes one set-mode completion: walk the children
+// sequentially in the relabeled CSR, decrement their remaining-parent
+// counters, and set the rank bit of every node whose last parent this
+// was.
+//
+// The cold guards up front replace the per-iteration implicit bounds
+// checks: a corrupt CSR (never built by build) panics once at entry,
+// and past the guards every index in the walk is provably in-bounds —
+// children by ci < end <= len(children), rem by the per-child uint
+// guard, and rank by the reslice pinning len(rank) to len(rem).
+//
+//prio:noalloc
+//prio:nobce
+func (st *runState) complete(job int32) {
+	cs, children := st.childStart, st.children
+	j := int(job)
+	if uint(j) >= uint(len(cs)) {
+		panic("sim: complete: job out of range")
 	}
-	if cap(st.pending.scratch) < n {
-		st.pending.scratch = make([]completion, 0, n)
+	ci := int(cs[j])
+	jn := j + 1
+	if uint(jn) >= uint(len(cs)) {
+		panic("sim: complete: job out of range")
 	}
-	if cap(st.pending.over) < n {
-		st.pending.over = make(eventHeap, 0, n)
+	end := int(cs[jn])
+	if ci < 0 || end > len(children) {
+		panic("sim: complete: corrupt child CSR")
 	}
-	st.pending.reset()
+	rem, rank := st.rem, st.rank
+	if len(rank) < len(rem) {
+		panic("sim: complete: rank table too short")
+	}
+	rank = rank[:len(rem)]
+	for ; ci < end; ci++ {
+		c := int(children[ci])
+		if uint(c) >= uint(len(rem)) {
+			panic("sim: complete: child id out of range")
+		}
+		rem[c]--
+		if rem[c] == 0 {
+			st.elig.Add(int(rank[c]))
+		}
+	}
+}
+
+// nextOcc returns the ring distance from slot s to the nearest
+// occupied slot at or after s, wrapping past the top of the ring. The
+// ring must be non-empty (live > 0), or the scan would not terminate.
+// s must be an in-range slot (callers mask with buckets-1); the word
+// index mask makes that provable, so the occupancy scan carries no
+// bounds checks.
+//
+//prio:noalloc
+//prio:nobce
+//prio:inline
+func (st *runState) nextOcc(s int) int {
+	w := (s >> 6) & (buckets/64 - 1)
+	if word := st.occ[w] >> (uint(s) & 63); word != 0 {
+		return bits.TrailingZeros64(word)
+	}
+	for d := 1; ; d++ {
+		if word := st.occ[(w+d)&(buckets/64-1)]; word != 0 {
+			return d<<6 - s&63 + bits.TrailingZeros64(word)
+		}
+	}
+}
+
+// drain is set mode's window drain: it processes every pending
+// completion with time <= T (all of them when all is set), in bucket
+// order, and returns how many completed. Whole buckets strictly before
+// the boundary complete without any comparison; the boundary bucket is
+// filtered by comparison and its survivors relinked. The boundary
+// bucket is always the last one visited: no event <= T can hide in a
+// later bucket.
+//
+// The bucket chains walk with uint(i) < uint(len(events)) as the loop
+// condition: it folds the chain-end test (next == -1 wraps to a huge
+// uint) and the arena bound into one compare, so the event loads carry
+// no bounds checks. An in-range but corrupt chain index would end the
+// walk early instead of panicking; arena indices come only from append
+// positions in insert, so no such index exists.
+//
+//prio:noalloc
+//prio:nobce
+func (st *runState) drain(T float64, all bool) int {
+	done := 0
+	events := st.events
+	Tvi := int(T * st.invW)
+	vi := st.baseVi
+	for st.live > 0 {
+		// Jump to the next occupied bucket; every live ring event is
+		// within one ring turn of the base.
+		vi += st.nextOcc(vi & (buckets - 1))
+		if !all && vi > Tvi {
+			break
+		}
+		slot := vi & (buckets - 1)
+		if all || vi < Tvi {
+			// The whole bucket is inside the window.
+			for i := int(st.heads[slot]); uint(i) < uint(len(events)); i = int(events[i].next) {
+				st.complete(events[i].job)
+				done++
+				st.live--
+			}
+			st.heads[slot] = -1
+			st.occ[(slot>>6)&(buckets/64-1)] &^= 1 << (uint(slot) & 63)
+		} else {
+			// Boundary bucket: filter by time, relink survivors.
+			nh := int32(-1)
+			for i := int(st.heads[slot]); uint(i) < uint(len(events)); {
+				ev := &events[i]
+				next := int(ev.next)
+				if ev.at <= T {
+					st.complete(ev.job)
+					done++
+					st.live--
+				} else {
+					ev.next = nh
+					nh = int32(i)
+				}
+				i = next
+			}
+			st.heads[slot] = nh
+			if nh < 0 {
+				st.occ[(slot>>6)&(buckets/64-1)] &^= 1 << (uint(slot) & 63)
+			}
+			break
+		}
+		vi++
+	}
+	if !all {
+		// The wheel base follows the drain threshold: every live ring
+		// event is now > T, i.e. in [Tvi, Tvi+buckets).
+		st.baseVi = Tvi
+	}
+	if st.overCnt > 0 {
+		// Set mode inserts only at a batch time, which is the base, and
+		// Box-Muller draws stay within 8.6 sigma, so a job time never
+		// reaches the horizon of 16*(JobTimeMean+8*JobTimeStdDev).
+		panic("sim: set-mode completion past the wheel horizon")
+	}
+	return done
+}
+
+// assignBatch serves a set-mode batch of size requests arriving at
+// now: it pops the lowest eligible ranks and schedules each job's
+// completion, drawing job times in rank order. It returns how many
+// requests were filled.
+//
+//prio:noalloc
+//prio:nobce
+func (st *runState) assignBatch(p *Params, src *rng.Source, now float64, size int) int {
+	jobOfRank := st.jobOfRank
+	served := 0
+	for served < size {
+		r, ok := st.elig.PopMin()
+		if !ok {
+			break
+		}
+		if uint(r) >= uint(len(jobOfRank)) {
+			panic("sim: assignBatch: rank out of range")
+		}
+		served++
+		d := src.Normal(p.JobTimeMean, p.JobTimeStdDev)
+		if d < 1e-3 {
+			d = 1e-3 // a job cannot run backwards in time
+		}
+		st.insert(now+d, jobOfRank[r])
+	}
+	return served
+}
+
+// push schedules an exact-mode completion: on the calendar, or, at or
+// before the bucket being drained, straight into cur. The latter is a
+// rollover job whose time was clamped below a bucket's width, or a
+// batch served after a failure reopened assignment.
+//
+//prio:noalloc
+func (st *runState) push(at float64, job int32) {
+	if int(at*st.invW) > st.baseVi {
+		st.insert(at, job)
+		return
+	}
+	st.place(completion{at: at, job: job})
+}
+
+// place inserts ev into cur's pending tail in (at, job) order. A bucket
+// holds a handful of events, so insertion beats any cleverer sort.
+//
+//prio:noalloc
+func (st *runState) place(ev completion) {
+	st.cur = append(st.cur, ev) // self-append: amortized high-water-mark growth
+	i := len(st.cur) - 1
+	for ; i > st.ci && ev.before(st.cur[i-1]); i-- {
+		st.cur[i] = st.cur[i-1]
+	}
+	st.cur[i] = ev
+}
+
+// next removes and returns the earliest pending completion in exact
+// (at, job) order, provided it is due by T (whatever its time, when all
+// is set).
+//
+//prio:noalloc
+func (st *runState) next(T float64, all bool) (completion, bool) {
+	for st.ci >= len(st.cur) {
+		if !st.advance(T, all) {
+			return completion{}, false
+		}
+	}
+	ev := st.cur[st.ci]
+	if !all && ev.at > T {
+		return completion{}, false
+	}
+	st.ci++
+	return ev, true
+}
+
+// advance moves the exact drain's base to the next occupied bucket due
+// by T (any, when all is set) and loads that bucket into cur. That is
+// the ring's first occupied bucket after the base or, on an empty ring,
+// the overflow minimum's: cascade keeps the chain beyond the ring. When
+// no bucket is due it reports false with cur empty, and the base moves
+// up to T's bucket so that inserts at or after T stay on the ring.
+//
+//prio:noalloc
+func (st *runState) advance(T float64, all bool) bool {
+	st.cur = st.cur[:0]
+	st.ci = 0
+	vi := math.MaxInt
+	if st.live > 0 {
+		s := st.baseVi + 1
+		vi = s + st.nextOcc(s&(buckets-1))
+	} else if st.overCnt > 0 {
+		vi = int(st.overMin * st.invW)
+	}
+	if Tvi := int(T * st.invW); !all && vi > Tvi {
+		if Tvi > st.baseVi {
+			st.baseVi = Tvi
+			st.cascade()
+		}
+		return false
+	}
+	if vi == math.MaxInt {
+		return false
+	}
+	st.baseVi = vi
+	st.cascade()
+	slot := uint(vi) & (buckets - 1)
+	events := st.events
+	for i := int(st.heads[slot]); uint(i) < uint(len(events)); i = int(events[i].next) {
+		st.place(completion{at: events[i].at, job: events[i].job})
+		st.live--
+	}
+	st.heads[slot] = -1
+	st.occ[(slot>>6)&(buckets/64-1)] &^= 1 << (slot & 63)
+	return true
+}
+
+// cascade moves the overflow events that the advancing base has
+// brought within the wheel's horizon onto the ring, so every overflow
+// event stays later than every ring event. A pass is linear in the
+// chain but runs only when the base reaches the chain's minimum.
+//
+//prio:noalloc
+//prio:nobce
+func (st *runState) cascade() {
+	if st.overCnt == 0 || int(st.overMin*st.invW)-st.baseVi >= buckets {
+		return
+	}
+	events := st.events
+	nh := int32(-1)
+	min := math.Inf(1)
+	for i := int(st.heads[buckets]); uint(i) < uint(len(events)); {
+		ev := &events[i]
+		next := int(ev.next)
+		if vi := int(ev.at * st.invW); vi-st.baseVi < buckets {
+			slot := uint(vi) & (buckets - 1)
+			ev.next = st.heads[slot]
+			st.heads[slot] = int32(i)
+			st.occ[(slot>>6)&(buckets/64-1)] |= 1 << (slot & 63)
+			st.live++
+			st.overCnt--
+		} else {
+			if ev.at < min {
+				min = ev.at
+			}
+			ev.next = nh
+			nh = int32(i)
+		}
+		i = next
+	}
+	st.heads[buckets] = nh
+	st.overMin = min
 }
 
 // Runner owns the pooled state for repeated replications on one dag:
@@ -397,10 +597,10 @@ func (r *Runner) Run(p Params, pol Policy, seed uint64) Metrics {
 	return r.st.run(r.g, p, pol, r.src, nil)
 }
 
-// run is the discrete-event kernel shared by Run, RunObserved, and
+// run is the discrete-event loop shared by Run, RunObserved, and
 // Runner.Run. All mutable per-replication state lives in st, the
-// policy, and src; the kernel itself allocates nothing once st's
-// buffers have grown to the dag's high-water mark.
+// policy, and src; the loop allocates nothing once st's buffers have
+// grown to the dag's high-water mark.
 func (st *runState) run(g *dag.Frozen, p Params, pol Policy, src *rng.Source, obs Observer) Metrics {
 	if err := p.validate(); err != nil {
 		panic(err)
@@ -410,24 +610,26 @@ func (st *runState) run(g *dag.Frozen, p Params, pol Policy, src *rng.Source, ob
 		return Metrics{}
 	}
 
-	// Order-free fast path: when completions within a drain window are
-	// unobservable (set-semantics policy, no failures, no rollover, no
-	// observer) the sort-merge queue below is pure overhead — see
-	// kernelfast.go for the argument and the differential tests pinning
-	// the two paths bit-identical.
-	if !st.noFast {
-		if o, ok := fastPathOK(p, pol, obs); ok {
-			return st.runFast(g, p, o, src)
+	// Set mode needs a policy with set semantics (see staticRank) and a
+	// run that never branches on pop order; everything else drains in
+	// exact order.
+	var o *Oblivious
+	if sr, ok := pol.(staticRank); ok && obs == nil && p.FailureProb == 0 && !p.RolloverWorkers && len(p.JobMeans) == 0 {
+		o = sr.setCore()
+	}
+	exact := o == nil
+	if !exact && (st.owner != o || st.g != g) {
+		st.build(g, o)
+	}
+	st.start(g, p, exact)
+	if exact {
+		pol.Start(g, src)
+		for _, v := range g.Sources() {
+			pol.Eligible(int(v))
 		}
 	}
-
-	st.reset(g, n)
-	remaining := st.remaining // unexecuted parents
+	remaining := st.remaining // exact mode: unexecuted parents
 	childStart, children := g.ChildCSR()
-	pol.Start(g, src)
-	for _, v := range g.Sources() {
-		pol.Eligible(int(v))
-	}
 
 	now := 0.0
 	nextBatch := 0.0 // first batch arrives at time 0
@@ -437,12 +639,9 @@ func (st *runState) run(g *dag.Frozen, p Params, pol Policy, src *rng.Source, ob
 	batches, stalls, requests := 0, 0, 0
 	waiting := 0 // rolled-over unfilled requests (RolloverWorkers only)
 
-	// assign does not escape run, so the closure and the variables it
-	// captures stay on the stack (the kernel's zero-alloc tests would
-	// catch a regression). mid says whether the queue is live (a
-	// rollover assignment during the drain) or between drains (a
-	// batch-arrival burst, folded in by the next normalize).
-	assign := func(v int, mid bool) {
+	// assign hands job v to a worker at now (exact mode). The closure
+	// does not escape, so it and its captures stay on the stack.
+	assign := func(v int) {
 		if obs != nil {
 			obs.Assigned(now, v)
 		}
@@ -455,37 +654,38 @@ func (st *runState) run(g *dag.Frozen, p Params, pol Policy, src *rng.Source, ob
 		if d < 1e-3 {
 			d = 1e-3 // a job cannot run backwards in time
 		}
-		if mid {
-			st.pending.pushSorted(now+d, int32(v))
-		} else {
-			st.pending.appendBurst(now+d, int32(v))
-		}
+		st.push(now+d, int32(v))
 	}
 
 	for executed < n {
 		// Advance to the earlier of the next batch arrival and the next
 		// completion. Completions at the same instant as a batch are
 		// processed first: their children are eligible for that batch.
-		st.pending.normalize()
-		for st.pending.len() > 0 && (unassigned == 0 || st.pending.minAt() <= nextBatch) {
-			at, job := st.pending.pop()
-			now = at
+		if !exact {
+			executed += st.drain(nextBatch, unassigned == 0)
+		}
+		for exact {
+			ev, ok := st.next(nextBatch, unassigned == 0)
+			if !ok {
+				break
+			}
+			now = ev.at
 			if p.FailureProb > 0 && src.Float64() < p.FailureProb {
 				// The worker failed: the job is unexecuted and eligible
 				// again, waiting for a future request.
 				unassigned++
 				if obs != nil {
-					obs.Failed(now, int(job))
+					obs.Failed(now, int(ev.job))
 				}
-				pol.Eligible(int(job))
+				pol.Eligible(int(ev.job))
 				continue
 			}
 			executed++
-			lastCompletion = at
+			lastCompletion = now
 			if obs != nil {
-				obs.Completed(now, int(job))
+				obs.Completed(now, int(ev.job))
 			}
-			for ci, end := childStart[job], childStart[job+1]; ci < end; ci++ {
+			for ci, end := childStart[ev.job], childStart[ev.job+1]; ci < end; ci++ {
 				c := children[ci]
 				remaining[c]--
 				if remaining[c] == 0 {
@@ -499,7 +699,7 @@ func (st *runState) run(g *dag.Frozen, p Params, pol Policy, src *rng.Source, ob
 					break
 				}
 				waiting--
-				assign(v, true)
+				assign(v)
 			}
 		}
 		if executed == n {
@@ -515,13 +715,18 @@ func (st *runState) run(g *dag.Frozen, p Params, pol Policy, src *rng.Source, ob
 		batches++
 		requests += size
 		served := 0
-		for i := 0; i < size; i++ {
-			v, ok := pol.Next()
-			if !ok {
-				break
+		if exact {
+			for served < size {
+				v, ok := pol.Next()
+				if !ok {
+					break
+				}
+				served++
+				assign(v)
 			}
-			served++
-			assign(v, false)
+		} else {
+			served = st.assignBatch(&p, src, now, size)
+			unassigned -= served
 		}
 		if served == 0 {
 			stalls++
@@ -534,7 +739,15 @@ func (st *runState) run(g *dag.Frozen, p Params, pol Policy, src *rng.Source, ob
 		}
 		nextBatch = now + src.Exp(p.BatchInterarrival)
 	}
+	// Every chain is empty again: the next start can skip clearing.
+	st.clean = true
 
+	if !exact {
+		// Set mode never tracked pops: every scheduled event completed
+		// and drain windows advance in time, so the latest insert is
+		// the final completion.
+		lastCompletion = st.maxIns
+	}
 	m := Metrics{
 		ExecutionTime: lastCompletion,
 		Batches:       batches,

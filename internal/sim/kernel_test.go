@@ -1,11 +1,11 @@
 package sim
 
 import (
-	"fmt"
 	"sort"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dag"
 	"repro/internal/rng"
 	"repro/internal/workloads"
 )
@@ -73,131 +73,345 @@ func TestRunKernelZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestEventHeapOrdering drives the overflow min-heap with a random
-// push/pop interleaving and checks it always yields the minimum.
-func TestEventHeapOrdering(t *testing.T) {
-	r := rng.New(3)
-	var h eventHeap
-	var live []float64
-	for step := 0; step < 5000; step++ {
-		if len(live) == 0 || r.Float64() < 0.6 {
-			at := r.Float64()
-			h.push(completion{at: at, job: int32(step)})
-			live = append(live, at)
-		} else {
-			ev := h.pop()
-			sort.Float64s(live)
-			if ev.at != live[0] {
-				t.Fatalf("step %d: popped %v, min is %v", step, ev.at, live[0])
+// TestFastPathMatchesOrdered pins set mode to the reference sort-merge
+// kernel on paper-scale dags across the batch regimes the grids sweep
+// — tiny interarrivals (many near-empty drain windows), balanced, and
+// huge batches (one window drains thousands of events) — for every
+// ranker family. The fuzz target covers the same equivalence on
+// arbitrary 8-node dags; this test covers real widths, where the
+// calendar's bucket walk, boundary filtering, and occupancy jumps
+// actually engage.
+func TestFastPathMatchesOrdered(t *testing.T) {
+	for _, w := range []struct {
+		name string
+		g    *dag.Frozen
+	}{{"airsn", workloads.AIRSN(15)}, {"montage", workloads.Montage(20, 3)}} {
+		for _, name := range []string{"prio", "critpath", "heft", "graphene", "heft+outdeg"} {
+			factory, err := PolicyFactory(name, w.g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runner := NewRunner(w.g)
+			pol, refPol := factory(), factory()
+			if _, ok := pol.(*Oblivious); !ok {
+				t.Fatalf("%s: expected an Oblivious policy", name)
+			}
+			for _, p := range []Params{
+				DefaultParams(0.05, 0.5),
+				DefaultParams(0.05, 16),
+				DefaultParams(1, 8),
+				DefaultParams(1, 1600),
+				DefaultParams(100, 4),
+			} {
+				for seed := uint64(1); seed <= 10; seed++ {
+					got := runner.Run(p, pol, seed)
+					want := runOrdered(w.g, p, refPol, rng.New(seed), nil)
+					if got != want {
+						t.Fatalf("%s/%s bit=%g bs=%g seed %d:\n kernel    %+v\n reference %+v",
+							w.name, name, p.BatchInterarrival, p.BatchSize, seed, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFastPathRankerCensus is the acceptance gate for the two-tier
+// policy architecture: every shipped ranker family — plus a composed
+// tie-breaker chain standing in for the open-ended chain grammar —
+// must (a) come out of the factory as a static-rank policy, which the
+// kernel drains in set mode, (b) reproduce the reference kernel bit
+// for bit, and (c) run at exactly zero allocations in steady state.
+func TestFastPathRankerCensus(t *testing.T) {
+	g := workloads.Montage(20, 3)
+	base := DefaultParams(1, 16)
+	for _, name := range []string{"prio", "critpath", "heft", "graphene", "heft+outdeg"} {
+		factory, err := PolicyFactory(name, g)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		pol := factory()
+		sr, ok := pol.(staticRank)
+		if !ok {
+			t.Fatalf("%s: a ranker-backed policy must have set semantics", name)
+		}
+		if got := sr.StaticOrder(); len(got) != g.NumNodes() {
+			t.Fatalf("%s: static order covers %d jobs, dag has %d", name, len(got), g.NumNodes())
+		}
+
+		runner := NewRunner(g)
+		for seed := uint64(1); seed <= 5; seed++ {
+			got := runner.Run(base, pol, seed)
+			want := runOrdered(g, base, factory(), rng.New(seed), nil)
+			if got != want {
+				t.Fatalf("%s seed %d:\n kernel    %+v\n reference %+v", name, seed, got, want)
+			}
+		}
+		// Steady state reached above; set mode must now be
+		// allocation-free for this family, not just for PRIO.
+		seed := uint64(99)
+		if allocs := testing.AllocsPerRun(5, func() {
+			runner.Run(base, pol, seed)
+			seed++
+		}); allocs != 0 {
+			t.Fatalf("%s: kernel allocates %.0f objects per replication, want 0", name, allocs)
+		}
+	}
+}
+
+// TestExactOrderEdgeCases pins exact mode against the reference kernel
+// where the calendar's exact drain has to do more than sort a bucket:
+//
+//   - rollover with JobTimeMean 100 and a wide job-time spread: a bucket
+//     is ~1.8 time units wide, far above the 1e-3 job-time floor, so
+//     rolled-over workers handed jobs whose draw was clamped schedule
+//     completions inside the bucket being drained (and tie exactly with
+//     each other, which the (at, job) order resolves);
+//   - per-job means spread far beyond the wheel's horizon, so the
+//     overflow chain holds live events that must cascade back onto the
+//     ring in time order;
+//   - failures under the order-sensitive policies, with and without
+//     rollover, where a failure can reopen assignment after a drain has
+//     passed the next batch's time.
+func TestExactOrderEdgeCases(t *testing.T) {
+	airsn, montage := workloads.AIRSN(15), workloads.Montage(20, 3)
+
+	// Wide batches keep a couple of events in every bucket, so a
+	// clamped rollover completion lands ahead of pending ones.
+	slow := Params{BatchInterarrival: 300, BatchSize: 512, JobTimeMean: 100, JobTimeStdDev: 100, RolloverWorkers: true}
+	slowNarrow := slow
+	slowNarrow.BatchInterarrival, slowNarrow.BatchSize = 40, 16
+	if w := 1 / bucketsPerUnit(slow); w <= 1e-3 {
+		t.Fatalf("bucket width %g must exceed the 1e-3 job-time floor", w)
+	}
+
+	n := airsn.NumNodes()
+	spread := DefaultParams(1, 8)
+	spread.JobMeans = make([]float64, n)
+	for v := range spread.JobMeans {
+		spread.JobMeans[v] = 1 + float64(v%9)*7 // up to 57, against a ~29-unit wheel
+	}
+	spreadRoll := spread
+	spreadRoll.RolloverWorkers = true
+	spreadRoll.BatchInterarrival = 0.3
+	if horizon := float64(buckets) / bucketsPerUnit(spread); 57 < horizon {
+		t.Fatalf("per-job means must exceed the wheel horizon %g", horizon)
+	}
+
+	fail := DefaultParams(1, 8)
+	fail.FailureProb = 0.3
+	failRoll := DefaultParams(0.3, 4)
+	failRoll.FailureProb = 0.2
+	failRoll.RolloverWorkers = true
+	failBig := DefaultParams(5, 64)
+	failBig.FailureProb = 0.5
+
+	for _, tc := range []struct {
+		name     string
+		g        *dag.Frozen
+		policies []string
+		params   []Params
+	}{
+		{"rollover-wide-buckets", montage, []string{"fifo", "random", "prio", "prio-maxjobs=4"}, []Params{slow, slowNarrow}},
+		{"job-means-overflow", airsn, []string{"fifo", "random", "prio", "prio-maxjobs=4"}, []Params{spread, spreadRoll}},
+		{"failures", airsn, []string{"fifo", "random", "prio-maxjobs=4"}, []Params{fail, failRoll, failBig}},
+	} {
+		for _, name := range tc.policies {
+			factory, err := PolicyFactory(name, tc.g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runner := NewRunner(tc.g)
+			pol := factory()
+			for pi, p := range tc.params {
+				for seed := uint64(1); seed <= 6; seed++ {
+					got := runner.Run(p, pol, seed)
+					want := runOrdered(tc.g, p, factory(), rng.New(seed), nil)
+					if got != want {
+						t.Fatalf("%s/%s params %d seed %d:\n kernel    %+v\n reference %+v", tc.name, name, pi, seed, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// bucketsPerUnit is the wheel resolution the kernel picks for p.
+func bucketsPerUnit(p Params) float64 {
+	var st runState
+	st.start(independentDag(1), p, true)
+	return st.invW
+}
+
+// recorder is an Observer that keeps every callback time.
+type recorder struct {
+	times []float64
+	count int
+}
+
+func (r *recorder) BatchArrived(at float64, size, served int) { r.times = append(r.times, at) }
+func (r *recorder) Assigned(at float64, job int)              { r.times = append(r.times, at) }
+func (r *recorder) Completed(at float64, job int)             { r.times = append(r.times, at); r.count++ }
+func (r *recorder) Failed(at float64, job int)                { r.times = append(r.times, at) }
+
+// TestObserverMatchesRunner pins dagsim -trace to the figures: an
+// observed run drains in exact mode while Runner.Run drains oblivious
+// policies in set mode, and both must give bit-identical metrics at the
+// same seed. Without failures the observer must also see time move
+// forward only; a failure can reopen assignment at a batch time the
+// drain has already passed, so failure runs check metrics alone.
+func TestObserverMatchesRunner(t *testing.T) {
+	g := workloads.AIRSN(15)
+	roll := DefaultParams(0.3, 4)
+	roll.RolloverWorkers = true
+	fail := DefaultParams(1, 8)
+	fail.FailureProb = 0.15
+	for _, name := range []string{"prio", "fifo", "random", "prio-maxjobs=4"} {
+		factory, err := PolicyFactory(name, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runner := NewRunner(g)
+		pol := factory()
+		for pi, p := range []Params{DefaultParams(1, 8), DefaultParams(0.05, 64), roll, fail} {
+			for seed := uint64(1); seed <= 6; seed++ {
+				rec := &recorder{}
+				got := RunObserved(g, p, factory(), rng.New(seed), rec)
+				if want := runner.Run(p, pol, seed); got != want {
+					t.Fatalf("%s params %d seed %d: observed %+v, runner %+v", name, pi, seed, got, want)
+				}
+				if rec.count != g.NumNodes() {
+					t.Fatalf("%s params %d seed %d: %d completions observed, want %d", name, pi, seed, rec.count, g.NumNodes())
+				}
+				if p.FailureProb > 0 {
+					continue
+				}
+				for i := 1; i < len(rec.times); i++ {
+					if rec.times[i] < rec.times[i-1] {
+						t.Fatalf("%s params %d seed %d: callback %d at %g after %g", name, pi, seed, i, rec.times[i], rec.times[i-1])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFastCalendar drives the set-mode calendar white-box: inserts
+// across the ring, boundary buckets with survivors, and drain-all. The
+// dag has no arcs, so complete() is a no-op and the calendar mechanics
+// are isolated. It also pins the horizon bound that keeps set mode off
+// the overflow chain: the largest job time a Box-Muller draw can
+// produce stays far inside the wheel.
+func TestFastCalendar(t *testing.T) {
+	b := dag.NewWithCapacity(4)
+	for _, name := range []string{"a", "b", "c", "d"} {
+		b.AddNode(name)
+	}
+	g := b.MustFreeze()
+	o := NewOblivious("ID", []int{0, 1, 2, 3})
+
+	var st runState
+	st.build(g, o)
+	for _, p := range []Params{DefaultParams(1, 8), {JobTimeMean: 1e-3, JobTimeStdDev: 50}, {JobTimeMean: 100}} {
+		st.start(g, p, false)
+		if maxD := p.JobTimeMean + 8.6*p.JobTimeStdDev + 1e-3; maxD*st.invW+1 >= buckets {
+			t.Fatalf("%+v: a %g job time spans %g buckets, past the set-mode horizon", p, maxD, maxD*st.invW)
+		}
+	}
+
+	st.start(g, DefaultParams(1, 8), false) // span ≈ 1.8, invW ≈ 284 buckets/unit
+	// Two events inside the first window, two past it.
+	st.insert(0.5, 0)
+	st.insert(1.0, 1)
+	st.insert(1.5, 2)
+	st.insert(2.5, 3)
+	if st.live != 4 || st.overCnt != 0 {
+		t.Fatalf("live=%d overCnt=%d, want 4 ring events", st.live, st.overCnt)
+	}
+	if got := st.drain(1.0, false); got != 2 {
+		t.Fatalf("drain(1.0)=%d, want 2 (0.5 and the boundary 1.0)", got)
+	}
+	if st.live != 2 {
+		t.Fatalf("live=%d after first window, want 2 survivors", st.live)
+	}
+	if got := st.drain(2.0, false); got != 1 {
+		t.Fatalf("drain(2.0)=%d, want the 1.5 survivor", got)
+	}
+	// drain-all collects the rest (T is ignored).
+	if got := st.drain(0, true); got != 1 {
+		t.Fatalf("drain(all)=%d, want the 2.5 event", got)
+	}
+	if st.live != 0 {
+		t.Fatalf("calendar not empty after drain-all: live=%d", st.live)
+	}
+	if st.maxIns != 2.5 {
+		t.Fatalf("maxIns=%g, want 2.5", st.maxIns)
+	}
+
+	// A second start on the same state must fully reset the calendar.
+	st.start(g, DefaultParams(1, 8), false)
+	if st.live != 0 || st.overCnt != 0 || st.maxIns != 0 {
+		t.Fatalf("start did not reset: live=%d over=%d maxIns=%g", st.live, st.overCnt, st.maxIns)
+	}
+	st.insert(0.25, 2)
+	if got := st.drain(0.5, false); got != 1 {
+		t.Fatalf("drain after reset=%d, want 1", got)
+	}
+}
+
+// TestExactCalendar drives the exact drain white-box against a
+// sorted-slice oracle: pushes anywhere from before the drain's base
+// (the bucket being drained, or earlier) to far past the wheel's
+// horizon, interleaved with windowed and drain-all pops. Every pop
+// must be the oracle's (at, job) minimum, and a windowed drain must
+// stop exactly when nothing due remains.
+func TestExactCalendar(t *testing.T) {
+	r := rng.New(5)
+	var st runState
+	st.start(independentDag(16), DefaultParams(1, 8), true)
+	var live []completion
+	job := int32(0)
+	T := 0.0
+	for step := 0; step < 4000; step++ {
+		for i := int(r.Float64() * 6); i > 0; i-- {
+			var at float64
+			switch u := r.Float64(); {
+			case u < 0.1:
+				at = T + 30 + r.Float64()*60 // past the ~29-unit horizon
+			case u < 0.25:
+				at = T - r.Float64()*0.01 // at or before the drain's base
+			case u < 0.3:
+				at = T + 1e-3 // exact ties
+			default:
+				at = T + r.Float64()*2
+			}
+			if at < 0 {
+				at = 0
+			}
+			ev := completion{at: at, job: job}
+			job++
+			st.push(ev.at, ev.job)
+			live = append(live, ev)
+		}
+		sort.Slice(live, func(i, j int) bool { return live[i].before(live[j]) })
+		all := r.Float64() < 0.05
+		for {
+			ev, ok := st.next(T, all)
+			if !ok {
+				if len(live) > 0 && (all || live[0].at <= T) {
+					t.Fatalf("step %d: drain stopped with %+v due by %g", step, live[0], T)
+				}
+				break
+			}
+			if len(live) == 0 || ev != live[0] {
+				t.Fatalf("step %d: popped %+v, oracle min %+v", step, ev, live)
 			}
 			live = live[1:]
-		}
-	}
-	// Drain: must come out sorted.
-	sort.Float64s(live)
-	for _, want := range live {
-		if got := h.pop().at; got != want {
-			t.Fatalf("drain: popped %v, want %v", got, want)
-		}
-	}
-	if len(h) != 0 {
-		t.Fatalf("heap not empty after drain: %d left", len(h))
-	}
-}
-
-// TestSortCompletions checks the specialized quicksort against the
-// standard library on random data and on the patterns quicksorts get
-// wrong: pre-sorted, reversed, constant, and few-distinct inputs, plus
-// every length through the insertion-sort cutover.
-func TestSortCompletions(t *testing.T) {
-	r := rng.New(11)
-	check := func(name string, s []completion) {
-		t.Helper()
-		want := make([]float64, len(s))
-		for i, ev := range s {
-			want[i] = ev.at
-		}
-		sort.Float64s(want)
-		sortCompletions(s)
-		for i, ev := range s {
-			if ev.at != want[i] {
-				t.Fatalf("%s: index %d = %v, want %v", name, i, ev.at, want[i])
+			if all && r.Float64() < 0.1 {
+				break // a failure reopening assignment mid-drain
 			}
 		}
-	}
-	for n := 0; n <= 60; n++ {
-		s := make([]completion, n)
-		for i := range s {
-			s[i] = completion{at: r.Float64(), job: int32(i)}
-		}
-		check(fmt.Sprintf("random-%d", n), s)
-	}
-	big := func(gen func(i int) float64) []completion {
-		s := make([]completion, 5000)
-		for i := range s {
-			s[i] = completion{at: gen(i), job: int32(i)}
-		}
-		return s
-	}
-	check("random-big", big(func(int) float64 { return r.Float64() }))
-	check("sorted", big(func(i int) float64 { return float64(i) }))
-	check("reversed", big(func(i int) float64 { return float64(-i) }))
-	check("constant", big(func(int) float64 { return 1.5 }))
-	check("few-distinct", big(func(i int) float64 { return float64(i % 3) }))
-	check("sawtooth", big(func(i int) float64 { return float64(i % 50) }))
-}
-
-// TestEventQueueOrdering drives the sort-merge event queue through the
-// kernel's access pattern — bursts of appends, a normalize, a run of
-// pops with occasional mid-drain pushes (the rollover path) — against
-// a sorted-slice oracle.
-func TestEventQueueOrdering(t *testing.T) {
-	r := rng.New(9)
-	var q eventQueue
-	var live []float64
-	popOne := func(step int) {
-		at, _ := q.pop()
-		sort.Float64s(live)
-		if at != live[0] {
-			t.Fatalf("step %d: popped %v, min is %v", step, at, live[0])
-		}
-		live = live[1:]
-	}
-	for step := 0; step < 2000; step++ {
-		// Burst of appends (a batch arrival).
-		burst := int(r.Float64() * 20)
-		for i := 0; i < burst; i++ {
-			at := r.Float64() * 100
-			q.appendBurst(at, int32(i))
-			live = append(live, at)
-		}
-		q.normalize()
-		if q.len() != len(live) {
-			t.Fatalf("step %d: len %d, want %d", step, q.len(), len(live))
-		}
-		// Drain some, with occasional mid-drain pushes.
-		drain := int(r.Float64() * float64(len(live)+1))
-		for i := 0; i < drain && len(live) > 0; i++ {
-			if r.Float64() < 0.2 {
-				at := r.Float64() * 100
-				q.pushSorted(at, int32(i))
-				live = append(live, at)
-			}
-			popOne(step)
-		}
-	}
-	q.normalize()
-	for len(live) > 0 {
-		popOne(-1)
-	}
-	if q.len() != 0 {
-		t.Fatalf("queue not empty after drain: %d left", q.len())
-	}
-	// Reset gives back an empty, reusable queue.
-	q.appendBurst(1, 1)
-	q.reset()
-	if q.len() != 0 {
-		t.Fatal("reset left events behind")
+		T += r.Exp(0.5)
 	}
 }
 
@@ -239,9 +453,9 @@ func TestKernelCSRViews(t *testing.T) {
 			t.Fatalf("sources %v, want %v", got, sources)
 		}
 	}
-	// reset fills remaining from the precomputed indegrees.
+	// An exact-mode start fills remaining from the precomputed indegrees.
 	var st runState
-	st.reset(g, n)
+	st.start(g, DefaultParams(1, 8), true)
 	for v := 0; v < n; v++ {
 		if int(st.remaining[v]) != g.InDegree(v) {
 			t.Fatalf("node %d remaining %d, want indegree %d", v, st.remaining[v], g.InDegree(v))

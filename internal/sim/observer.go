@@ -6,7 +6,12 @@ import (
 )
 
 // Observer receives the simulation's events; cmd/dagsim uses it to print
-// an execution trace. All callbacks fire in simulated-time order.
+// an execution trace. An observed run drains in the kernel's exact mode
+// and returns the same metrics as an unobserved one. Without failures,
+// callbacks fire in simulated-time order. With failures they can step
+// back: once every job is assigned the drain runs past the pending
+// batch time, and a failure there reopens assignment to that batch,
+// which then fires at its own, earlier, time.
 type Observer interface {
 	// BatchArrived fires on each request batch: its size and how many
 	// requests were filled.

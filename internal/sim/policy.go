@@ -11,26 +11,28 @@ import (
 
 // staticRank is the runtime tier's capability interface: a policy
 // whose entire behaviour is determined by one fixed total order over
-// the jobs. fastPathOK admits any implementation to the order-free
-// fast kernel — the capability, not the concrete type, is the
-// admission ticket — so every ranker family internal/rank produces
-// (and any wrapper embedding *Oblivious) inherits the fast path.
+// the jobs. Such a policy is a set — Next pops the minimum rank of the
+// eligible set, a pure function of its contents — so the kernel may
+// drain it in set mode (kernel.go), without sorting completions and
+// with eligibility kept in the kernel's own bitset. The capability, not
+// the concrete type, is what the kernel tests for, so every ranker
+// family internal/rank produces (and any wrapper embedding *Oblivious)
+// inherits set mode.
 //
 // Embedding *Oblivious promotes both methods, and doing so is a
 // semantic claim: the embedder must not change assignment behaviour
-// (Eligible/Next), or the fast path would execute the static order
-// while the ordered path executes the override. Policies that do
-// change it (TwoLevel's bounded forwarding) hold an order field
-// instead of embedding.
+// (Eligible/Next), or set mode would execute the static order while
+// exact mode executes the override. Policies that do change it
+// (TwoLevel's bounded forwarding) hold an order field instead of
+// embedding.
 type staticRank interface {
 	Policy
 	// StaticOrder returns the fixed order (position -> job) that fully
-	// determines the policy. The kernel reads the order through this
-	// seam — see the devirtualized ranker hook in runFast.
+	// determines the policy.
 	StaticOrder() []int
-	// fastCore returns the Oblivious state machine executing that
-	// order; the fast kernel keys its pooled build on its identity.
-	fastCore() *Oblivious
+	// setCore returns the Oblivious state machine executing that
+	// order; the kernel keys its pooled rank tables on its identity.
+	setCore() *Oblivious
 }
 
 // Oblivious is the paper's oblivious scheduling regimen: a fixed total
@@ -72,8 +74,8 @@ func (o *Oblivious) Name() string { return o.name }
 // job) the policy was built from.
 func (o *Oblivious) StaticOrder() []int { return o.order }
 
-// fastCore implements staticRank.
-func (o *Oblivious) fastCore() *Oblivious { return o }
+// setCore implements staticRank.
+func (o *Oblivious) setCore() *Oblivious { return o }
 
 // Start implements Policy.
 func (o *Oblivious) Start(g *dag.Frozen, _ *rng.Source) {
@@ -114,8 +116,13 @@ func NewFIFO() *FIFO { return &FIFO{} }
 // Name implements Policy.
 func (f *FIFO) Name() string { return "FIFO" }
 
-// Start implements Policy.
+// Start implements Policy. The queue is pre-sized to the job count:
+// without failures every job is enqueued once, so steady-state runs
+// never grow it.
 func (f *FIFO) Start(g *dag.Frozen, _ *rng.Source) {
+	if n := g.NumNodes(); cap(f.queue) < n {
+		f.queue = make([]int, 0, n)
+	}
 	f.queue = f.queue[:0]
 	f.head = 0
 }
