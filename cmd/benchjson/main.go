@@ -27,7 +27,10 @@
 // baseline ns/op. Unlike the allocs gates this is a wall-clock
 // assertion, so the default tolerance (1.15) leaves room for machine
 // noise while still catching real regressions; benchmarks only in the
-// baseline are ignored, letting a smoke run assert a subset.
+// baseline are ignored, letting a smoke run assert a subset. When the
+// run repeats a benchmark (go test -count N), the gate compares the
+// median ns/op of its rows, so one slow run on a noisy host cannot
+// fail it alone.
 //
 // -assert-allocs-baseline FILE exits nonzero if any benchmark present
 // in the baseline JSON (a previous benchjson output) is missing from
@@ -51,6 +54,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -171,9 +175,10 @@ func assertZeroBytes(rep Report, re *regexp.Regexp) error {
 
 // assertNsTrend compares the report's ns/op against a baseline Report:
 // every benchmark present in both must not exceed tolerance times its
-// baseline ns/op. Benchmarks only in the baseline are skipped — smoke
-// runs assert the subset they measure — and a benchmark without ns/op
-// on either side is ignored.
+// baseline ns/op, taking the median over the rows that share a name.
+// Benchmarks only in the baseline are skipped — smoke runs assert the
+// subset they measure — and a benchmark without ns/op on either side
+// is ignored.
 func assertNsTrend(rep Report, baselinePath string, tolerance float64) error {
 	f, err := os.Open(baselinePath)
 	if err != nil {
@@ -188,26 +193,44 @@ func assertNsTrend(rep Report, baselinePath string, tolerance float64) error {
 	for _, b := range base.Benchmarks {
 		baseline[b.Name] = b
 	}
-	var bad []string
+	var names []string
+	runs := make(map[string][]float64)
 	for _, got := range rep.Benchmarks {
-		want, ok := baseline[got.Name]
+		ns, ok := got.Metrics["ns/op"]
 		if !ok {
 			continue
 		}
-		ns, haveNs := got.Metrics["ns/op"]
-		baseNs, haveBase := want.Metrics["ns/op"]
-		if !haveNs || !haveBase || baseNs <= 0 {
+		if _, seen := runs[got.Name]; !seen {
+			names = append(names, got.Name)
+		}
+		runs[got.Name] = append(runs[got.Name], ns)
+	}
+	var bad []string
+	for _, name := range names {
+		baseNs, ok := baseline[name].Metrics["ns/op"]
+		if !ok || baseNs <= 0 {
 			continue
 		}
-		if limit := baseNs * tolerance; ns > limit {
-			bad = append(bad, fmt.Sprintf("%s: %.0f ns/op, baseline %.0f (limit %.0f, +%.0f%%)",
-				got.Name, ns, baseNs, limit, (ns/baseNs-1)*100))
+		if ns, limit := median(runs[name]), baseNs*tolerance; ns > limit {
+			bad = append(bad, fmt.Sprintf("%s: %.0f ns/op (median of %d), baseline %.0f (limit %.0f, +%.0f%%)",
+				name, ns, len(runs[name]), baseNs, limit, (ns/baseNs-1)*100))
 		}
 	}
 	if len(bad) > 0 {
 		return fmt.Errorf("ns/op regressed against %s:\n  %s", baselinePath, strings.Join(bad, "\n  "))
 	}
 	return nil
+}
+
+// median returns the median of xs (the mean of the middle two when
+// len(xs) is even), sorting xs in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	m := len(xs) / 2
+	if len(xs)%2 == 0 {
+		return (xs[m-1] + xs[m]) / 2
+	}
+	return xs[m]
 }
 
 // assertAllocsBaseline compares the report's allocs/op against a

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -169,6 +170,22 @@ func TestAssertNsTrend(t *testing.T) {
 	}, "\n") + "\n"
 	if err := run([]string{"-assert-ns-trend", base}, strings.NewReader(subset), &out); err != nil {
 		t.Fatalf("subset run failed the trend gate: %v", err)
+	}
+	// With -count 5 a benchmark is judged by its median row: one slow
+	// outlier on a noisy host passes, a majority of slow rows fails.
+	rows := func(ns ...int) string {
+		var b strings.Builder
+		for _, v := range ns {
+			fmt.Fprintf(&b, "BenchmarkRunKernel/airsn/prio-4 100 %d ns/op 0 B/op 0 allocs/op\n", v)
+		}
+		return b.String()
+	}
+	if err := run([]string{"-assert-ns-trend", base}, strings.NewReader(rows(72000, 73000, 150000, 72500, 71900)), &out); err != nil {
+		t.Fatalf("one slow outlier in five failed the median gate: %v", err)
+	}
+	err = run([]string{"-assert-ns-trend", base}, strings.NewReader(rows(72000, 90000, 95000, 72500, 91000)), &out)
+	if err == nil || !strings.Contains(err.Error(), "airsn/prio: 90000 ns/op (median of 5)") {
+		t.Fatalf("three slow rows in five passed the median gate: %v", err)
 	}
 	// Bad baselines are reported.
 	if err := run([]string{"-assert-ns-trend", filepath.Join(t.TempDir(), "nope.json")}, strings.NewReader(sample), &out); err == nil {

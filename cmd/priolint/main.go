@@ -14,11 +14,11 @@
 // an Impure fact for every effectful function it sees, so a violation
 // deep in a dependency surfaces at the annotated entry point with the
 // whole call chain. Program analyzers (noalloc, nestedlock, goroleak,
-// ctxflow, chanbound, respdet, bce, inline, devirt, escapecheck) run
-// once over all loaded packages together with the whole-program call
-// graph. Analyzers that consume compiler facts (bce, inline, devirt,
-// escapecheck) share a single instrumented `go build` of the loaded
-// tree — the compiler runs at most once per priolint invocation.
+// ctxflow, chanbound, respdet, bce, inline) run once over all loaded
+// packages together with the whole-program call graph. The analyzers
+// that consume compiler facts (bce, inline) share a single
+// instrumented `go build` of the loaded tree — the compiler runs at
+// most once per priolint invocation.
 // Interface calls resolve only to implementations loaded from source,
 // so run the tool over ./... (the default) for the contracts to be
 // proved rather than spot-checked.
@@ -46,9 +46,7 @@ import (
 	"repro/internal/analysis/chanbound"
 	"repro/internal/analysis/compilerfact"
 	"repro/internal/analysis/ctxflow"
-	"repro/internal/analysis/devirt"
 	"repro/internal/analysis/errpropagation"
-	"repro/internal/analysis/escapecheck"
 	"repro/internal/analysis/facts"
 	"repro/internal/analysis/goroleak"
 	"repro/internal/analysis/inline"
@@ -68,9 +66,7 @@ var suite = []*analysis.Analyzer{
 	bce.Analyzer,
 	chanbound.Analyzer,
 	ctxflow.Analyzer,
-	devirt.Analyzer,
 	errpropagation.Analyzer,
-	escapecheck.Analyzer,
 	goroleak.Analyzer,
 	inline.Analyzer,
 	lockedfield.Analyzer,

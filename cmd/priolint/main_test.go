@@ -2,9 +2,18 @@ package main
 
 import (
 	"encoding/json"
+	"go/ast"
+	"go/types"
 	"os"
+	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/analysis"
+	"repro/internal/analysis/callgraph"
+	"repro/internal/analysis/load"
+	"repro/internal/analysis/pragma"
+	"repro/internal/analysis/reach"
 )
 
 // TestDriverFindsViolations runs the real driver (go list, export data,
@@ -138,7 +147,6 @@ func TestDriverInjectMarker(t *testing.T) {
 		"testdata/src/chanboundclean/chanboundclean.go": "// INJECT: unbounded send goes here",
 		"testdata/src/respdetclean/respdetclean.go":     "// INJECT: clock read goes here",
 		"testdata/src/bceclean/bceclean.go":             "// INJECT: unprovable index goes here",
-		"testdata/src/devirtclean/devirtclean.go":       "// INJECT: interface call through a variable goes here",
 	} {
 		src, err := os.ReadFile(file)
 		if err != nil {
@@ -162,6 +170,156 @@ func TestAnalyzersDocumented(t *testing.T) {
 	for _, a := range suite {
 		if !strings.Contains(string(doc), "(analyzer "+a.Name+")") {
 			t.Errorf("analyzer %s is registered in the suite but has no \"(analyzer %s)\" section in internal/analysis/doc.go", a.Name, a.Name)
+		}
+	}
+}
+
+// TestContractCensus keeps every analyzer in the suite bound to real
+// code. An analyzer that matches nothing passes exactly like one that
+// proves something, so over the module's non-test files (testdata
+// excluded):
+//
+//	(a) every pragma in pragma.Known annotates at least one function,
+//	    and its enforcer is registered;
+//	(b) the sites the documentation names carry their pragmas;
+//	(c) every analyzer that enforces no pragma is listed in scopes
+//	    below, and the tree holds at least one instance of the code
+//	    shape it polices.
+//
+// A new analyzer with no binding site, or a pragma that loses its last
+// site, fails here.
+func TestContractCensus(t *testing.T) {
+	pkgs, err := load.Load("", "repro/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := make(map[string][]string) // pragma -> annotated functions
+	var guarded, goStmts, mapRanges, locks, seeds, errCalls, pragmas, handlerSends int
+	seen := make(map[string]bool)
+	for _, pkg := range pkgs {
+		info := pkg.Info
+		for _, file := range pkg.Syntax {
+			name := pkg.Fset.Position(file.Package).Filename
+			if strings.HasSuffix(name, "_test.go") || seen[name] {
+				continue
+			}
+			seen[name] = true
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					for _, p := range pragma.Of(n.Doc) {
+						pragmas++
+						sites[p] = append(sites[p], info.Defs[n.Name].(*types.Func).FullName())
+					}
+				case *ast.Field:
+					if strings.Contains(n.Comment.Text()+n.Doc.Text(), "guarded by ") {
+						guarded++
+					}
+				case *ast.GoStmt:
+					goStmts++
+				case *ast.RangeStmt:
+					if _, ok := info.TypeOf(n.X).Underlying().(*types.Map); ok {
+						mapRanges++
+					}
+				case *ast.CallExpr:
+					fn := analysis.Callee(info, n)
+					if fn == nil || fn.Pkg() == nil {
+						break
+					}
+					path, sig := fn.Pkg().Path(), fn.Type().(*types.Signature)
+					switch {
+					case path == "sync" && (fn.Name() == "Lock" || fn.Name() == "RLock"):
+						locks++
+					case path == "repro/internal/rng" && fn.Name() == "New",
+						strings.HasPrefix(path, "math/rand"):
+						seeds++
+					}
+					if r := sig.Results(); r.Len() > 0 && r.At(r.Len()-1).Type().String() == "error" &&
+						(path == "repro/internal/dagman" || path == "os" ||
+							fn.Name() == "Close" || fn.Name() == "Flush" || fn.Name() == "Sync") {
+						errCalls++
+					}
+				}
+				return true
+			})
+		}
+	}
+	handlers := reach.Handlers(callgraph.Build(pkgs))
+	reach.Walk(handlers, func(n *callgraph.Node, _ []string) {
+		ast.Inspect(n.Body, func(nd ast.Node) bool {
+			switch nd.(type) {
+			case *ast.FuncLit:
+				return false // a literal is its own node, walked on its own
+			case *ast.SendStmt:
+				handlerSends++
+			}
+			return true
+		})
+	})
+
+	// (a)
+	registered := make(map[string]bool, len(suite))
+	for _, a := range suite {
+		registered[a.Name] = true
+	}
+	known := make([]string, 0, len(pragma.Known))
+	enforcers := make(map[string]bool)
+	for p, analyzer := range pragma.Known {
+		known = append(known, p)
+		enforcers[analyzer] = true
+	}
+	sort.Strings(known)
+	for _, p := range known {
+		analyzer := pragma.Known[p]
+		t.Logf("%-16s //%s on %d function(s)", analyzer, p, len(sites[p]))
+		if len(sites[p]) == 0 {
+			t.Errorf("//%s annotates no non-test function: the %s analyzer guards nothing", p, analyzer)
+		}
+		if !registered[analyzer] {
+			t.Errorf("//%s is enforced by %s, which is not registered in the suite", p, analyzer)
+		}
+	}
+	// (b)
+	for _, doc := range []struct{ pragma, site string }{
+		{"prio:deterministic", "(*repro/internal/serve.Server).handlePrioritize"},
+		{"prio:pure", "repro/internal/core.Prioritize"},
+		{"prio:noalloc", "(*repro/internal/sim.Runner).Run"},
+	} {
+		found := false
+		for _, s := range sites[doc.pragma] {
+			found = found || s == doc.site
+		}
+		if !found {
+			t.Errorf("the docs name %s as a //%s site, but it does not carry the pragma", doc.site, doc.pragma)
+		}
+	}
+	// (c)
+	scopes := map[string]struct {
+		what string
+		n    int
+	}{
+		"chanbound":      {"channel sends reachable from an HTTP handler", handlerSends},
+		"ctxflow":        {"HTTP handlers", len(handlers)},
+		"errpropagation": {"error-returning calls into dagman, os, or Close/Flush/Sync", errCalls},
+		"goroleak":       {"go statements", goStmts},
+		"lockedfield":    {"// guarded by fields", guarded},
+		"mapiterorder":   {"ranges over a map", mapRanges},
+		"nestedlock":     {"mutex acquisitions", locks},
+		"pragmacheck":    {"//prio: pragmas", pragmas},
+		"rngsource":      {"rng.New or math/rand calls", seeds},
+	}
+	for _, a := range suite {
+		if enforcers[a.Name] {
+			continue
+		}
+		sc, ok := scopes[a.Name]
+		if !ok {
+			t.Errorf("analyzer %s enforces no pragma in pragma.Known and has no scope in TestContractCensus: nothing shows it guards real code", a.Name)
+			continue
+		}
+		t.Logf("%-16s %d %s", a.Name, sc.n, sc.what)
+		if sc.n == 0 {
+			t.Errorf("analyzer %s polices %s, and the tree has none: it guards nothing", a.Name, sc.what)
 		}
 	}
 }

@@ -4,17 +4,17 @@
 //	go build -gcflags='-m=2 -d=ssa/check_bce' <packages>
 //
 // and parses the position-keyed notes the compiler prints on stderr —
-// escape decisions, inline decisions with their cost budgets,
-// devirtualization notes, and bounds-check sites — into an in-memory
-// index plus per-function summaries in the driver's fact store.
+// inline decisions with their cost budgets, inlined call sites, and
+// bounds-check sites — into an in-memory index plus per-function
+// summaries in the driver's fact store. Every other note (escape
+// decisions, devirtualization, elided checks) is skipped.
 //
 // The abstract analyzers (noalloc, purity, ...) prove properties by
 // their own reading of the source; nothing stops the compiler from
 // disagreeing — a refactor can reintroduce a bounds check or break an
 // inlining decision without changing any property the source-level
-// provers model. The analyzers built on this package (bce, inline,
-// devirt, escapecheck) close that gap: they check the machine's
-// verdict, not a model of it.
+// provers model. The analyzers built on this package (bce, inline)
+// close that gap: they check the machine's verdict, not a model of it.
 //
 // # Invocation and caching
 //
@@ -34,7 +34,7 @@
 // cache entry at compile time — so Run always invokes the toolchain at
 // the module root and normalizes the paths to absolute, comparable
 // with token.FileSet positions from the loader.
-// Bounds-check and escape notes attributed to an inlined call land on
+// Bounds-check notes attributed to an inlined call land on
 // the caller's call-site line, so a function's fact set covers the
 // code the compiler actually emitted for it — including inlined callee
 // bodies — not just its source text.
@@ -90,12 +90,6 @@ type InlineDecision struct {
 	Pos       Pos
 }
 
-// An EscapeSite is one compiler-proved heap allocation.
-type EscapeSite struct {
-	Pos  Pos
-	What string // the diagnostic text, e.g. "make([]uint64, w) escapes to heap"
-}
-
 // Facts is the parsed diagnostic index of one Run.
 type Facts struct {
 	// Bounds holds the positions of every "Found IsInBounds" /
@@ -110,12 +104,6 @@ type Facts struct {
 	// ("inlining call to F"), keyed by position, valued by the callee's
 	// reported name.
 	InlinedCalls map[Pos]string
-	// Devirtualized holds interface call sites the compiler resolved to
-	// a concrete target ("devirtualizing x.M to T"), keyed by position.
-	Devirtualized map[Pos]string
-	// Escapes holds compiler-proved heap allocations per absolute file
-	// path, sorted by line then column.
-	Escapes map[string][]EscapeSite
 	// Packages lists the import paths compiled, sorted.
 	Packages []string
 }
@@ -145,11 +133,9 @@ func (*FuncFacts) AFact() {}
 // lookup; empty means the current directory.
 func Run(dir string, nonMains, mains []string) (*Facts, error) {
 	f := &Facts{
-		Bounds:        make(map[string][]Pos),
-		Decisions:     make(map[FileLine]InlineDecision),
-		InlinedCalls:  make(map[Pos]string),
-		Devirtualized: make(map[Pos]string),
-		Escapes:       make(map[string][]EscapeSite),
+		Bounds:       make(map[string][]Pos),
+		Decisions:    make(map[FileLine]InlineDecision),
+		InlinedCalls: make(map[Pos]string),
 	}
 	// The go command prints diagnostic paths relative to its working
 	// directory at the time of the actual compile — and the build cache
@@ -193,19 +179,6 @@ func Run(dir string, nonMains, mains []string) (*Facts, error) {
 	sort.Strings(f.Packages)
 	for file := range f.Bounds {
 		sortPositions(f.Bounds[file])
-	}
-	for file := range f.Escapes {
-		sites := f.Escapes[file]
-		sort.Slice(sites, func(i, j int) bool {
-			a, b := sites[i], sites[j]
-			if a.Pos.Line != b.Pos.Line {
-				return a.Pos.Line < b.Pos.Line
-			}
-			if a.Pos.Col != b.Pos.Col {
-				return a.Pos.Col < b.Pos.Col
-			}
-			return a.What < b.What
-		})
 	}
 	return f, nil
 }
@@ -294,25 +267,17 @@ var (
 	canInlineRe     = regexp.MustCompile(`^can inline (.+?) with cost (\d+) as: `)
 	cannotInlineRe  = regexp.MustCompile(`^cannot inline (.+?): (.+)$`)
 	costRe          = regexp.MustCompile(`cost (\d+) exceeds budget`)
-	devirtRe        = regexp.MustCompile(`^devirtualizing (.+) to (.+)$`)
-	escapesRe       = regexp.MustCompile(`^(.*) escapes to heap:?$`)
-	movedRe         = regexp.MustCompile(`^moved to heap: (.+)$`)
 	inlineCallRe    = regexp.MustCompile(`^inlining call to (.+)$`)
 	canInlinePlain  = "can inline "
 	foundBoundsMsgs = map[string]bool{"Found IsInBounds": true, "Found IsSliceInBounds": true}
 )
 
-// parse consumes one invocation's stderr. Unrecognized notes (nil
-// checks elided, leaking parameters, escape flow traces) are skipped;
-// package-group headers ("# path") and positions outside .go files
-// ("<autogenerated>") are skipped too.
+// parse consumes one invocation's stderr. Unrecognized notes (escape
+// decisions and flow traces, devirtualization, nil checks elided,
+// leaking parameters) are skipped; package-group headers ("# path")
+// and positions outside .go files ("<autogenerated>") are skipped too.
 func (f *Facts) parse(absDir, out string) {
 	boundsSeen := make(map[Pos]bool)
-	// One position is one allocation, which -m=2 can describe twice:
-	// as a flow-trace header ("x escapes to heap:") and as the verdict
-	// ("moved to heap: x"). Dedupe by position, preferring the verdict
-	// spelling when both appear.
-	escapeSeen := make(map[Pos]int)
 	for _, line := range strings.Split(out, "\n") {
 		m := posRe.FindStringSubmatch(line)
 		if m == nil {
@@ -353,27 +318,6 @@ func (f *Facts) parse(absDir, out string) {
 			if cm := inlineCallRe.FindStringSubmatch(msg); cm != nil {
 				f.InlinedCalls[pos] = cm[1]
 			}
-		case strings.HasPrefix(msg, "devirtualizing "):
-			if cm := devirtRe.FindStringSubmatch(msg); cm != nil {
-				f.Devirtualized[pos] = cm[2]
-			}
-		case movedRe.MatchString(msg):
-			if i, ok := escapeSeen[pos]; ok {
-				f.Escapes[file][i].What = msg
-				break
-			}
-			escapeSeen[pos] = len(f.Escapes[file])
-			f.Escapes[file] = append(f.Escapes[file], EscapeSite{pos, msg})
-		case escapesRe.MatchString(msg):
-			what := strings.TrimSuffix(msg, ":")
-			if strings.Contains(what, "does not escape") {
-				break
-			}
-			if _, ok := escapeSeen[pos]; ok {
-				break
-			}
-			escapeSeen[pos] = len(f.Escapes[file])
-			f.Escapes[file] = append(f.Escapes[file], EscapeSite{pos, what})
 		}
 	}
 }
@@ -397,31 +341,6 @@ func (f *Facts) BoundsIn(file string, startLine, startCol, endLine, endCol int) 
 		}
 	}
 	return out
-}
-
-// EscapesIn returns the compiler-proved heap allocations inside the
-// span, in position order.
-func (f *Facts) EscapesIn(file string, startLine, startCol, endLine, endCol int) []EscapeSite {
-	var out []EscapeSite
-	for _, s := range f.Escapes[file] {
-		if spanContains(startLine, startCol, endLine, endCol, s.Pos.Line, s.Pos.Col) {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// DevirtualizedAt reports whether an interface call spanning the given
-// lines of file was devirtualized, and to what target. Devirtualization
-// notes carry the position of the call's selector, which falls inside
-// the call expression's span.
-func (f *Facts) DevirtualizedAt(file string, startLine, startCol, endLine, endCol int) (string, bool) {
-	for pos, target := range f.Devirtualized {
-		if pos.File == file && spanContains(startLine, startCol, endLine, endCol, pos.Line, pos.Col) {
-			return target, true
-		}
-	}
-	return "", false
 }
 
 // InlinedAt reports whether the compiler inlined a call at the given

@@ -10,7 +10,9 @@ import (
 )
 
 // TestParse feeds canned compiler output through the parser and checks
-// every diagnostic class lands in the right index, exactly.
+// every diagnostic class lands in the right index, exactly, and that
+// the notes no analyzer consumes (escapes, devirtualization, elided
+// checks) land in none.
 func TestParse(t *testing.T) {
 	out := strings.Join([]string{
 		"# repro/internal/bitset",
@@ -30,11 +32,9 @@ func TestParse(t *testing.T) {
 		"internal/sim/kernel.go:100:3: index bounds check elided",
 	}, "\n")
 	f := &Facts{
-		Bounds:        make(map[string][]Pos),
-		Decisions:     make(map[FileLine]InlineDecision),
-		InlinedCalls:  make(map[Pos]string),
-		Devirtualized: make(map[Pos]string),
-		Escapes:       make(map[string][]EscapeSite),
+		Bounds:       make(map[string][]Pos),
+		Decisions:    make(map[FileLine]InlineDecision),
+		InlinedCalls: make(map[Pos]string),
 	}
 	f.parse("/repo", out)
 
@@ -61,19 +61,9 @@ func TestParse(t *testing.T) {
 	if got := f.InlinedCalls[Pos{kfast, 309, 14}]; got != "bitset.(*MinSet).Add" {
 		t.Errorf("inlined call = %q, want bitset.(*MinSet).Add", got)
 	}
-	if got := f.Devirtualized[Pos{kernel, 57, 10}]; got != "*fnv.sum64a" {
-		t.Errorf("devirtualized = %q, want *fnv.sum64a", got)
-	}
-
-	if got := f.Escapes[minset]; len(got) != 1 || got[0].Pos != (Pos{minset, 44, 16}) ||
-		got[0].What != "make([]uint64, w) escapes to heap" {
-		t.Errorf("minset escapes = %v, want one make escape at 44:16 (flow trace and re-report folded)", got)
-	}
-	if got := f.Escapes[kernel]; len(got) != 1 || got[0].What != "moved to heap: x" {
-		t.Errorf("kernel escapes = %v, want moved-to-heap at 12:2", got)
-	}
-	if len(f.Escapes) != 2 {
-		t.Errorf("escape files = %d, want 2 (does-not-escape and elided notes must be skipped)", len(f.Escapes))
+	if len(f.Bounds) != 2 || len(f.Decisions) != 2 || len(f.InlinedCalls) != 1 {
+		t.Errorf("index sizes = %d bounds files, %d decisions, %d inlined calls; want 2, 2, 1 (unconsumed notes must be skipped)",
+			len(f.Bounds), len(f.Decisions), len(f.InlinedCalls))
 	}
 }
 
@@ -98,29 +88,21 @@ func TestRunFixture(t *testing.T) {
 
 	// index's body must carry a bounds check; a position-keyed lookup
 	// through the span helper must find it.
-	if got := f.BoundsIn(file, 14, 1, 14, 200); len(got) == 0 {
+	if got := f.BoundsIn(file, 7, 1, 7, 200); len(got) == 0 {
 		t.Errorf("no bounds check found in index's declaration line; Bounds=%v", f.Bounds[file])
 	}
 	// tiny can inline, big cannot (with a reason naming its cost).
-	tiny, ok := f.Decisions[FileLine{file, 17}]
+	tiny, ok := f.Decisions[FileLine{file, 10}]
 	if !ok || !tiny.CanInline || tiny.Cost <= 0 {
 		t.Errorf("tiny decision = %+v, ok=%v; want can-inline with positive cost", tiny, ok)
 	}
-	big, ok := f.Decisions[FileLine{file, 20}]
+	big, ok := f.Decisions[FileLine{file, 13}]
 	if !ok || big.CanInline || big.Reason == "" || big.Cost == 0 {
 		t.Errorf("big decision = %+v, ok=%v; want cannot-inline with reason and cost", big, ok)
 	}
 	// caller's call of tiny is actually inlined.
-	if callee, ok := f.InlinedAt(file, 47); !ok || !strings.Contains(callee, "tiny") {
+	if callee, ok := f.InlinedAt(file, 40); !ok || !strings.Contains(callee, "tiny") {
 		t.Errorf("InlinedAt(caller) = %q, %v; want an inlined call to tiny", callee, ok)
-	}
-	// devirt's interface call resolves to the concrete small.
-	if target, ok := f.DevirtualizedAt(file, 53, 1, 53, 200); !ok || !strings.Contains(target, "small") {
-		t.Errorf("DevirtualizedAt(devirt) = %q, %v; want small", target, ok)
-	}
-	// escape's composite literal is a compiler-proved heap allocation.
-	if got := f.EscapesIn(file, 58, 1, 62, 1); len(got) == 0 {
-		t.Errorf("no escape recorded in escape()'s body; Escapes=%v", f.Escapes[file])
 	}
 }
 

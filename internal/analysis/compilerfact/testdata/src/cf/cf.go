@@ -1,14 +1,7 @@
 // Package cf exercises every diagnostic class compilerfact parses: a
 // bounds check the prover cannot eliminate, an inlinable function and
-// one over budget, an inlined call, a devirtualizable interface call,
-// and a heap escape.
+// one over budget, and an inlined call.
 package cf
-
-type hasher interface{ Sum() int }
-
-type small struct{ n int }
-
-func (s small) Sum() int { return s.n }
 
 // index carries an unprovable bounds check.
 func index(xs []int, i int) int { return xs[i] }
@@ -46,23 +39,9 @@ func big(xs []int) int {
 // caller gets tiny inlined into it (and a call to big that stays).
 func caller(xs []int) int { return tiny(len(xs)) + big(xs) }
 
-// devirt calls Sum through an interface with a locally known concrete
-// type, which the compiler devirtualizes.
-func devirt() int {
-	var h hasher = small{n: 3}
-	return h.Sum()
-}
-
-// escape returns a pointer to a composite literal, which must be heap
-// allocated.
-func escape() *small {
-	s := &small{n: 4}
-	return s
-}
-
 // use keeps the unexported helpers alive.
 func use(xs []int) int {
-	return index(xs, 0) + caller(xs) + devirt() + escape().n
+	return index(xs, 0) + caller(xs)
 }
 
 var _ = use

@@ -186,18 +186,17 @@
 // # The compiler-fact proofs
 //
 // The analyzers above prove properties of the source as the tree
-// reasons about it. The four analyzers below prove properties of the
+// reasons about it. The two analyzers below prove properties of the
 // machine code the compiler actually emits, by running the Go compiler
 // itself as a fact oracle (subpackage compilerfact): one instrumented
 // `go build -gcflags='-m=2 -d=ssa/check_bce'` over the loaded tree,
 // parsed into position-keyed facts — bounds checks the SSA pass could
-// not eliminate, inlining decisions with costs and reasons, interface
-// calls devirtualized to concrete targets, and variables escaping to
-// the heap. The driver runs the compiler at most once per invocation
-// and shares the facts across all four. Absence of a fact record for
-// an annotated function is itself a finding ("the contract is
-// unproved"), never silence — an annotation in a file the build did
-// not compile must not pass vacuously.
+// not eliminate, and inlining decisions with costs and reasons. The
+// driver runs the compiler at most once per invocation and shares the
+// facts across both. Absence of a fact record for an annotated
+// function is itself a finding ("the contract is unproved"), never
+// silence — an annotation in a file the build did not compile must not
+// pass vacuously.
 //
 // Bounds-check elimination (analyzer bce). A function annotated
 // //prio:nobce — the replication kernel inner loops and the bitset
@@ -215,39 +214,27 @@
 // setup per event. Diagnostics carry the compiler's cost and reason
 // ("cost 92 exceeds budget 80") so the fix is mechanical.
 //
-// Devirtualization (analyzer devirt). An interface method call
-// lexically inside a //prio:noalloc function must be devirtualized by
-// the compiler to a direct call. The scope is lexical, not
-// reachability-based, by design: the noalloc analyzer already walks
-// the call graph, and a devirtualized call that the compiler then
-// inlines dissolves entirely — only calls written in the hot
-// function's own body can still carry dynamic dispatch. Cold paths
-// (panic arguments, error exits) are exempt under the same rules
-// noalloc uses. A function annotated //prio:devirt opts into the same
-// obligation plus a census: its body must contain at least one
-// non-cold interface call. The pragma marks deliberate devirtualized
-// seams, and the census keeps the proof honest: refactor the seam away
-// and the pragma turns red instead of asserting a proof about nothing.
-//
-// Escape cross-check (analyzer escapecheck). The noalloc analyzer is
-// an abstract interpreter with a documented rulebook of exemptions;
-// the compiler's escape analysis is the ground truth it approximates.
-// For every //prio:noalloc function, this analyzer takes each heap
-// allocation the compiler proves ("moved to heap: x", "escapes to
-// heap") and demands that the abstract prover accounted for that line
-// — as an allocation site class it audits, a call it traverses, or an
-// exemption it grants. A compiler-proved allocation on a line the
-// rulebook has no opinion about means the two proof systems disagree,
-// and the rulebook — not the kernel — is what gets fixed.
-//
 // Pragma hygiene (analyzer pragmacheck). Every contract above is
 // opt-in via a //prio: doc-comment pragma, which creates a failure
 // mode no analyzer of the contract itself can see: a typo'd pragma
-// (//prio:noaloc), trailing prose (//prio:noalloc on the hot path),
-// or a pragma on a type or var declaration reads like a contract and
-// enforces nothing. pragmacheck closes the loop by flagging any
-// //prio: comment that is not exactly a recognized pragma in the doc
-// position of a function declaration.
+// (//prio:noaloc), trailing prose (//prio:noalloc on the hot path), a
+// retired pragma whose analyzer is gone, or a pragma on a type or var
+// declaration reads like a contract and enforces nothing. pragmacheck
+// closes the loop by flagging any //prio: comment that is not exactly
+// a recognized pragma in the doc position of a function declaration.
+//
+// # The contract census
+//
+// An analyzer that matches nothing on the real tree passes exactly
+// like one that proves something. TestContractCensus in cmd/priolint
+// keeps the suite honest: every recognized pragma must annotate at
+// least one non-test function, the sites the documentation names
+// (core.Prioritize, sim.(*Runner).Run, serve.(*Server).handlePrioritize)
+// must carry their pragmas, and every analyzer without a pragma must
+// show a non-empty scope on the tree — a "// guarded by" field for
+// lockedfield, a go statement for goroleak, an HTTP handler for ctxflow
+// and chanbound. A new analyzer with no binding site fails the test
+// until it gets one.
 //
 // # Running
 //

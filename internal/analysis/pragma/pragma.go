@@ -28,7 +28,6 @@ var Known = map[string]string{
 	"prio:deterministic": "respdet",
 	"prio:nobce":         "bce",
 	"prio:inline":        "inline",
-	"prio:devirt":        "devirt",
 }
 
 // Of returns the pragma lines of a comment group, in order: every

@@ -1,6 +1,6 @@
 // Package a exercises pragmacheck: typo'd pragmas, pragmas with
-// trailing text, and recognized pragmas on declarations no analyzer
-// reads them from.
+// trailing text, retired pragmas, and recognized pragmas on
+// declarations no analyzer reads them from.
 package a
 
 // typo drops an l: reads like a contract, enforces nothing.
@@ -12,6 +12,11 @@ func typo() {} // want `unrecognized pragma //prio:noaloc enforces nothing`
 //
 //prio:noalloc on the hot path
 func trailing() {} // want `unrecognized pragma //prio:noalloc on the hot path enforces nothing`
+
+// A retired pragma is no longer in pragma.Known: no analyzer reads it.
+//
+//prio:devirt
+func retired() {} // want `unrecognized pragma //prio:devirt enforces nothing`
 
 // A pragma on a type declaration binds to nothing.
 //
@@ -26,6 +31,7 @@ var counter int // want `pragma //prio:deterministic is not the doc comment of a
 var (
 	_ = typo
 	_ = trailing
+	_ = retired
 	_ = notAFunc{}
 	_ = counter
 )

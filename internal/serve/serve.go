@@ -265,6 +265,8 @@ func (s *Server) readDag(w http.ResponseWriter, r *http.Request) (*dagman.File, 
 // format=json (default) returns the structured schedule; format=dag
 // returns the instrumented DAGMan text, byte-identical to what
 // cmd/prio emits for the same input (the differential tests pin this).
+//
+//prio:deterministic
 func (s *Server) handlePrioritize(w http.ResponseWriter, r *http.Request) {
 	format := r.URL.Query().Get("format")
 	switch format {
