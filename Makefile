@@ -31,10 +31,11 @@ check: lint
 check-race:
 	$(GO) test -race ./...
 
-# The determinism/concurrency/zero-alloc analyzers (see
+# The determinism/concurrency/compiler-fact analyzers (see
 # internal/analysis). Run over ./... so the interprocedural analyzers
-# see every implementation; spot-checking one package weakens noalloc
-# and purity to intra-package claims.
+# see every implementation; spot-checking one package weakens purity
+# and nestedlock to intra-package claims. The kernel's zero-alloc
+# contract is not linted: TestRunKernelZeroAllocs measures it.
 lint:
 	$(GO) run ./cmd/priolint ./...
 

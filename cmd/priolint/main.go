@@ -13,12 +13,12 @@
 // package, in dependency order, sharing a fact store — purity exports
 // an Impure fact for every effectful function it sees, so a violation
 // deep in a dependency surfaces at the annotated entry point with the
-// whole call chain. Program analyzers (noalloc, nestedlock, goroleak,
-// ctxflow, chanbound, respdet, bce, inline) run once over all loaded
-// packages together with the whole-program call graph. The analyzers
-// that consume compiler facts (bce, inline) share a single
-// instrumented `go build` of the loaded tree — the compiler runs at
-// most once per priolint invocation.
+// whole call chain. Program analyzers (nestedlock, goroleak, ctxflow,
+// chanbound, respdet, bce, inline) run once over all loaded packages
+// together with the whole-program call graph. The analyzers that
+// consume compiler facts (bce, inline) share a single instrumented
+// `go build` of the loaded tree — the compiler runs at most once per
+// priolint invocation.
 // Interface calls resolve only to implementations loaded from source,
 // so run the tool over ./... (the default) for the contracts to be
 // proved rather than spot-checked.
@@ -54,7 +54,6 @@ import (
 	"repro/internal/analysis/lockedfield"
 	"repro/internal/analysis/mapiterorder"
 	"repro/internal/analysis/nestedlock"
-	"repro/internal/analysis/noalloc"
 	"repro/internal/analysis/pragmacheck"
 	"repro/internal/analysis/purity"
 	"repro/internal/analysis/respdet"
@@ -72,7 +71,6 @@ var suite = []*analysis.Analyzer{
 	lockedfield.Analyzer,
 	mapiterorder.Analyzer,
 	nestedlock.Analyzer,
-	noalloc.Analyzer,
 	pragmacheck.Analyzer,
 	purity.Analyzer,
 	respdet.Analyzer,

@@ -106,7 +106,7 @@ func TestDriverFormatJSON(t *testing.T) {
 	}
 
 	stdout.Reset()
-	if code := run([]string{"-format", "json", "./testdata/src/noallocclean"}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-format", "json", "./testdata/src/goroleakclean"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("clean json run exit code = %d, want 0", code)
 	}
 	if got := strings.TrimSpace(stdout.String()); got != "[]" {
@@ -142,7 +142,6 @@ func TestDriverDeterministic(t *testing.T) {
 // guarding.
 func TestDriverInjectMarker(t *testing.T) {
 	for file, marker := range map[string]string{
-		"testdata/src/noallocclean/noallocclean.go":     "// INJECT: allocation goes here",
 		"testdata/src/goroleakclean/goroleakclean.go":   "// INJECT: leaked goroutine goes here",
 		"testdata/src/chanboundclean/chanboundclean.go": "// INJECT: unbounded send goes here",
 		"testdata/src/respdetclean/respdetclean.go":     "// INJECT: clock read goes here",
@@ -283,7 +282,6 @@ func TestContractCensus(t *testing.T) {
 	for _, doc := range []struct{ pragma, site string }{
 		{"prio:deterministic", "(*repro/internal/serve.Server).handlePrioritize"},
 		{"prio:pure", "repro/internal/core.Prioritize"},
-		{"prio:noalloc", "(*repro/internal/sim.Runner).Run"},
 	} {
 		found := false
 		for _, s := range sites[doc.pragma] {

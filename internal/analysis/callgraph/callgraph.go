@@ -2,7 +2,8 @@
 // packages a driver run loaded from source. Nodes are function
 // declarations, methods, and function literals; edges are recorded at
 // every call expression with a classification the interprocedural
-// analyzers (noalloc, nestedlock) dispatch on:
+// analyzers (nestedlock, and the handler walks in package reach)
+// dispatch on:
 //
 //   - Static: the callee is a single known function — a package-level
 //     call, a method call on a concrete receiver, a call of a local
@@ -95,11 +96,6 @@ type Edge struct {
 	Site *ast.CallExpr
 	// IfaceMethod is the interface method called, for Interface edges.
 	IfaceMethod *types.Func
-	// Recv is the object the call dispatches through when the callee
-	// expression is a plain identifier or a selector on one (the
-	// variable holding the interface or function value). Analyzers use
-	// it to bind call-site arguments to callee parameters.
-	Recv types.Object
 }
 
 // Name returns a human-readable node name for diagnostics:
@@ -180,30 +176,6 @@ func (g *Graph) NodeOf(fn *types.Func) *Node {
 
 // Lookup returns the node with the given key, or nil.
 func (g *Graph) Lookup(key string) *Node { return g.byKey[key] }
-
-// ParamObjs returns the node's declared parameter objects in order
-// (receiver excluded), or nil for external nodes. Analyzers match them
-// against Edge.Recv to bind arguments interprocedurally.
-func (n *Node) ParamObjs() []*types.Var {
-	var ft *ast.FuncType
-	switch {
-	case n.Decl != nil:
-		ft = n.Decl.Type
-	case n.Lit != nil:
-		ft = n.Lit.Type
-	default:
-		return nil
-	}
-	var out []*types.Var
-	for _, field := range ft.Params.List {
-		for _, name := range field.Names {
-			if v, ok := n.Pkg.Info.Defs[name].(*types.Var); ok {
-				out = append(out, v)
-			}
-		}
-	}
-	return out
-}
 
 // Build constructs the graph for the given packages (in the order load
 // returned them, which the driver keeps topological).
@@ -321,7 +293,7 @@ func (b *builder) walk(cur *Node, body ast.Node) {
 			// method; record the edge so its body stays reachable.
 			if sel, ok := b.pkg.Info.Selections[n]; ok && sel.Kind() == types.MethodVal {
 				if fn, ok := sel.Obj().(*types.Func); ok && !b.isCallFun(n) {
-					b.edgeToMethod(cur, fn, n.X, n.Sel.Pos(), nil)
+					cur.Out = append(cur.Out, Edge{Callee: b.g.NodeOf(fn), Kind: Static, Pos: n.Sel.Pos()})
 				}
 			}
 			return true
@@ -362,10 +334,10 @@ func (b *builder) call(cur *Node, call *ast.CallExpr, byVar map[*types.Var]*bind
 			fn := sel.Obj().(*types.Func)
 			recvType := sel.Recv()
 			if types.IsInterface(recvType) {
-				b.ifaceCall(cur, call, fn, fun.X)
+				b.ifaceCall(cur, call, fn)
 				return
 			}
-			b.edgeToMethod(cur, fn, fun.X, call.Lparen, call)
+			cur.Out = append(cur.Out, Edge{Callee: b.g.NodeOf(fn), Kind: Static, Pos: call.Lparen, Site: call})
 			return
 		}
 		// Package-qualified function or a function-valued field/var.
@@ -373,7 +345,7 @@ func (b *builder) call(cur *Node, call *ast.CallExpr, byVar map[*types.Var]*bind
 			cur.Out = append(cur.Out, Edge{Callee: b.g.NodeOf(fn), Kind: Static, Pos: call.Lparen, Site: call})
 			return
 		}
-		cur.Out = append(cur.Out, Edge{Kind: Dynamic, Pos: call.Lparen, Site: call, Recv: info.Uses[fun.Sel]})
+		cur.Out = append(cur.Out, Edge{Kind: Dynamic, Pos: call.Lparen, Site: call})
 	case *ast.Ident:
 		switch obj := info.Uses[fun].(type) {
 		case *types.Func:
@@ -382,10 +354,10 @@ func (b *builder) call(cur *Node, call *ast.CallExpr, byVar map[*types.Var]*bind
 			// A function value. Bound to exactly one literal in this
 			// body -> static edge to the literal.
 			if bind := byVar[obj]; bind != nil && bind.node != nil && bind.unique {
-				cur.Out = append(cur.Out, Edge{Callee: bind.node, Kind: Static, Pos: call.Lparen, Site: call, Recv: obj})
+				cur.Out = append(cur.Out, Edge{Callee: bind.node, Kind: Static, Pos: call.Lparen, Site: call})
 				return
 			}
-			cur.Out = append(cur.Out, Edge{Kind: Dynamic, Pos: call.Lparen, Site: call, Recv: obj})
+			cur.Out = append(cur.Out, Edge{Kind: Dynamic, Pos: call.Lparen, Site: call})
 		default:
 			cur.Out = append(cur.Out, Edge{Kind: Dynamic, Pos: call.Lparen, Site: call})
 		}
@@ -397,37 +369,21 @@ func (b *builder) call(cur *Node, call *ast.CallExpr, byVar map[*types.Var]*bind
 	}
 }
 
-// edgeToMethod appends a static edge for a concrete method call,
-// recording the dispatch variable when the receiver is an identifier.
-func (b *builder) edgeToMethod(cur *Node, fn *types.Func, recv ast.Expr, pos token.Pos, site *ast.CallExpr) {
-	var recvObj types.Object
-	if id, ok := ast.Unparen(recv).(*ast.Ident); ok {
-		recvObj = b.pkg.Info.Uses[id]
-	}
-	cur.Out = append(cur.Out, Edge{Callee: b.g.NodeOf(fn), Kind: Static, Pos: pos, Site: site, Recv: recvObj})
-}
-
 // ifaceCall resolves a call through an interface to every implementing
 // named type in the loaded packages, one edge per implementation.
-func (b *builder) ifaceCall(cur *Node, call *ast.CallExpr, ifaceFn *types.Func, recv ast.Expr) {
-	var recvObj types.Object
-	if id, ok := ast.Unparen(recv).(*ast.Ident); ok {
-		recvObj = b.pkg.Info.Uses[id]
-	} else if sel, ok := ast.Unparen(recv).(*ast.SelectorExpr); ok {
-		recvObj = b.pkg.Info.Uses[sel.Sel]
-	}
+func (b *builder) ifaceCall(cur *Node, call *ast.CallExpr, ifaceFn *types.Func) {
 	impls := b.g.implsOf(ifaceFn)
 	for _, impl := range impls {
 		cur.Out = append(cur.Out, Edge{
 			Callee: impl, Kind: Interface, Pos: call.Lparen, Site: call,
-			IfaceMethod: ifaceFn, Recv: recvObj,
+			IfaceMethod: ifaceFn,
 		})
 	}
 	if len(impls) == 0 {
 		// No loaded implementation: keep the site visible as dynamic.
 		cur.Out = append(cur.Out, Edge{
 			Kind: Interface, Pos: call.Lparen, Site: call,
-			IfaceMethod: ifaceFn, Recv: recvObj,
+			IfaceMethod: ifaceFn,
 		})
 	}
 }

@@ -1,9 +1,9 @@
 // Package inline proves the `//prio:inline` contract: an annotated
 // function must be inlinable, and every call to it from inside a
-// `//prio:nobce` or `//prio:noalloc` function must actually be inlined
-// by the compiler. The annotation marks the kernel's smallest hot
-// helpers (MinSet.Add/PopMin/Reset, fastKernel.nextOcc), whose cost
-// model assumes no call overhead on the drain path — and whose own
+// `//prio:nobce` function must actually be inlined by the compiler.
+// The annotation marks the kernel's smallest hot helpers
+// (MinSet.Add/PopMin/Reset, runState.nextOcc), whose cost model
+// assumes no call overhead on the drain path — and whose own
 // bounds-check-freedom the callers' //prio:nobce proofs silently
 // depend on, since an inlined body's checks land on the caller.
 //
@@ -37,7 +37,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "inline",
 	Doc: "check that //prio:inline functions are inlinable and actually inlined " +
-		"into every //prio:nobce and //prio:noalloc caller",
+		"into every //prio:nobce caller",
 	RunProgram:         run,
 	NeedsCompilerFacts: true,
 }
@@ -45,8 +45,8 @@ var Analyzer = &analysis.Analyzer{
 // Annotation is the marker comment, exported for the driver's docs.
 const Annotation = "prio:inline"
 
-// hotCallers are the annotations whose bodies demand inlined calls.
-var hotCallers = []string{"prio:nobce", "prio:noalloc"}
+// hotCaller is the annotation whose bodies demand inlined calls.
+const hotCaller = "prio:nobce"
 
 // A callee is one //prio:inline function, keyed by types.Func.FullName
 // so calls resolved through gc export data in other packages match the
@@ -104,12 +104,12 @@ func run(pass *analysis.ProgramPass) error {
 	}
 
 	// Pass 2: every call to a collected callee from inside a hot
-	// (nobce/noalloc) function must carry an "inlining call to" note.
+	// (nobce) function must carry an "inlining call to" note.
 	for _, pkg := range pass.Pkgs {
 		for _, file := range pkg.Syntax {
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil || !hot(fd) {
+				if !ok || fd.Body == nil || !pragma.Has(fd.Doc, hotCaller) {
 					continue
 				}
 				ast.Inspect(fd.Body, func(nd ast.Node) bool {
@@ -146,15 +146,6 @@ func run(pass *analysis.ProgramPass) error {
 		}
 	}
 	return nil
-}
-
-func hot(fd *ast.FuncDecl) bool {
-	for _, ann := range hotCallers {
-		if pragma.Has(fd.Doc, ann) {
-			return true
-		}
-	}
-	return false
 }
 
 // nameMatches reports whether the compiler's spelling of an inlined

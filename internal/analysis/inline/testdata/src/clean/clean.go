@@ -17,7 +17,7 @@ func hot(xs []int) int {
 // deferred still inlines: the compiler wraps the deferred call and
 // inlines lift into the wrapper, which satisfies the contract.
 //
-//prio:noalloc
+//prio:nobce
 func deferred() {
 	defer lift(9)
 }

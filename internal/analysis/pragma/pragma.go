@@ -2,7 +2,7 @@
 // analyzers enforce. Every contract annotation in the tree is a doc
 // comment of the exact form
 //
-//	//prio:noalloc
+//	//prio:nobce
 //
 // on a function declaration; this package owns the parsing (shared by
 // every analyzer) and the registry of recognized names (consumed by
@@ -23,7 +23,6 @@ const Prefix = "prio:"
 // A pragma outside this map is a typo: it reads like a contract but no
 // analyzer will ever check it.
 var Known = map[string]string{
-	"prio:noalloc":       "noalloc",
 	"prio:pure":          "purity",
 	"prio:deterministic": "respdet",
 	"prio:nobce":         "bce",

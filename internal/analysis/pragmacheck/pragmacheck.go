@@ -1,6 +1,6 @@
 // Package pragmacheck polices the //prio: annotation vocabulary. The
 // other analyzers match their pragma by exact comment text, so a typo
-// ("//prio:noaloc") or a trailing word ("//prio:noalloc please") reads
+// ("//prio:nobec") or a trailing word ("//prio:nobce please") reads
 // like a contract in review but enforces nothing — the most dangerous
 // failure mode an annotation scheme has. A pragma on a declaration it
 // cannot apply to (a type, a var, a field) is equally inert: every

@@ -3,20 +3,26 @@
 // declarations no analyzer reads them from.
 package a
 
-// typo drops an l: reads like a contract, enforces nothing.
+// typo swaps two letters: reads like a contract, enforces nothing.
 //
-//prio:noaloc
-func typo() {} // want `unrecognized pragma //prio:noaloc enforces nothing`
+//prio:nobec
+func typo() {} // want `unrecognized pragma //prio:nobec enforces nothing`
 
 // trailing text breaks the exact-match rule the analyzers use.
 //
-//prio:noalloc on the hot path
-func trailing() {} // want `unrecognized pragma //prio:noalloc on the hot path enforces nothing`
+//prio:nobce on the hot path
+func trailing() {} // want `unrecognized pragma //prio:nobce on the hot path enforces nothing`
 
 // A retired pragma is no longer in pragma.Known: no analyzer reads it.
 //
 //prio:devirt
 func retired() {} // want `unrecognized pragma //prio:devirt enforces nothing`
+
+// The zero-alloc contract is measured at run time now, so its pragma is
+// retired too.
+//
+//prio:noalloc
+func retiredNoalloc() {} // want `unrecognized pragma //prio:noalloc enforces nothing`
 
 // A pragma on a type declaration binds to nothing.
 //
@@ -32,6 +38,7 @@ var (
 	_ = typo
 	_ = trailing
 	_ = retired
+	_ = retiredNoalloc
 	_ = notAFunc{}
 	_ = counter
 )

@@ -2,10 +2,9 @@
 // that merely mentions one — pragmacheck must stay silent.
 package clean
 
-// run documents the `//prio:noalloc` contract in prose without
-// carrying it; mentioning a pragma mid-sentence is not a pragma.
+// run documents the `//prio:nobce` contract in prose before carrying
+// it; mentioning a pragma mid-sentence is not a pragma.
 //
-//prio:noalloc
 //prio:nobce
 func run(xs []int) int {
 	t := 0

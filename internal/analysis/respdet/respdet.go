@@ -43,7 +43,7 @@
 // docs/OPERATIONS.md.
 //
 // Diagnostics anchor at the annotated declaration and carry the call
-// path, noalloc-style:
+// path:
 //
 //	handlePrioritize is annotated //prio:deterministic but can reach
 //	time.Now, which reads the clock, at metrics.go:97 (path: ...)

@@ -2,6 +2,12 @@
 // the scheduler for reachability computations, visited marks, and set
 // algebra over job indices. It is deliberately minimal: the scheduler knows
 // the universe size (the number of jobs) up front, so the set never grows.
+//
+// MinSet, the simulator's eligible set, allocates nothing in steady
+// state: once its word array has grown to the set's size, Reset reuses
+// it and Add, PopMin and Len work in place. TestMinSetResetReuses pins
+// that at 0 allocations, and the simulator's TestRunKernelZeroAllocs
+// measures it again under every policy that keeps a MinSet.
 package bitset
 
 import (

@@ -34,7 +34,6 @@ func NewMinSet(n int) *MinSet {
 // compile without bounds checks, which also keeps callers that inline
 // Reset free of inherited check sites.
 //
-//prio:noalloc
 //prio:nobce
 //prio:inline
 func (s *MinSet) Reset(n int) {
@@ -67,7 +66,6 @@ func (s *MinSet) Reset(n int) {
 // here just as it would on the indexing itself, and past the guard the
 // compiler proves w in-bounds for both the load and the store.
 //
-//prio:noalloc
 //prio:nobce
 //prio:inline
 func (s *MinSet) Add(i int) {
@@ -94,7 +92,6 @@ func (s *MinSet) Add(i int) {
 // zero: with 0 <= w < len(words) both provable, the scan compiles
 // without bounds checks.
 //
-//prio:noalloc
 //prio:nobce
 //prio:inline
 func (s *MinSet) PopMin() (int, bool) {
@@ -117,6 +114,4 @@ func (s *MinSet) PopMin() (int, bool) {
 }
 
 // Len returns the number of elements.
-//
-//prio:noalloc
 func (s *MinSet) Len() int { return s.count }

@@ -150,7 +150,6 @@ func (f *Frozen) UndirectedComponents() ([]int, int) {
 // U -> V. (This is the paper's notion of a bipartite dag: a two-level
 // dag, not merely 2-colorable.)
 //
-//prio:noalloc
 //prio:pure
 func (f *Frozen) IsBipartiteDag() bool {
 	if f.NumNodes() == 0 {

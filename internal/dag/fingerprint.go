@@ -51,7 +51,6 @@ func (f *Frozen) Fingerprint() uint64 {
 // StructuralEq reports whether g and o have identical node names (in
 // index order) and identical adjacency (including arc insertion order).
 //
-//prio:noalloc
 //prio:pure
 func (f *Frozen) StructuralEq(o *Frozen) bool {
 	if f == o {

@@ -161,19 +161,16 @@ func (f *Frozen) checkNode(v int) {
 
 // NumNodes returns the number of nodes.
 //
-//prio:noalloc
 //prio:pure
 func (f *Frozen) NumNodes() int { return len(f.names) }
 
 // NumArcs returns the number of arcs.
 //
-//prio:noalloc
 //prio:pure
 func (f *Frozen) NumArcs() int { return f.numArcs }
 
 // Name returns the name of node v.
 //
-//prio:noalloc
 //prio:pure
 func (f *Frozen) Name(v int) string {
 	f.checkNode(v)
@@ -183,7 +180,6 @@ func (f *Frozen) Name(v int) string {
 // Names returns the node names indexed by node. The caller must not
 // modify the returned slice.
 //
-//prio:noalloc
 //prio:pure
 func (f *Frozen) Names() []string { return f.names }
 
@@ -212,7 +208,6 @@ func (f *Frozen) IndexOf(name string) int {
 // Children returns the out-neighbours of v in arc-insertion order, as a
 // view into the shared arc arena. The caller must not modify it.
 //
-//prio:noalloc
 //prio:pure
 func (f *Frozen) Children(v int) []int32 {
 	f.checkNode(v)
@@ -222,7 +217,6 @@ func (f *Frozen) Children(v int) []int32 {
 // Parents returns the in-neighbours of v as a view into the shared arc
 // arena. The caller must not modify it.
 //
-//prio:noalloc
 //prio:pure
 func (f *Frozen) Parents(v int) []int32 {
 	f.checkNode(v)
@@ -231,7 +225,6 @@ func (f *Frozen) Parents(v int) []int32 {
 
 // OutDegree returns the number of children of v.
 //
-//prio:noalloc
 //prio:pure
 func (f *Frozen) OutDegree(v int) int {
 	f.checkNode(v)
@@ -240,7 +233,6 @@ func (f *Frozen) OutDegree(v int) int {
 
 // InDegree returns the number of parents of v.
 //
-//prio:noalloc
 //prio:pure
 func (f *Frozen) InDegree(v int) int {
 	f.checkNode(v)
@@ -249,20 +241,17 @@ func (f *Frozen) InDegree(v int) int {
 
 // IsSource reports whether v has no parents.
 //
-//prio:noalloc
 //prio:pure
 func (f *Frozen) IsSource(v int) bool { return f.InDegree(v) == 0 }
 
 // IsSink reports whether v has no children.
 //
-//prio:noalloc
 //prio:pure
 func (f *Frozen) IsSink(v int) bool { return f.OutDegree(v) == 0 }
 
 // Sources returns the nodes with no parents, in index order, as a view
 // into shared storage. The caller must not modify it.
 //
-//prio:noalloc
 //prio:pure
 func (f *Frozen) Sources() []int32 { return f.sources }
 
@@ -285,14 +274,12 @@ func (f *Frozen) Sinks() []int32 {
 // appended in adjacency order) as a view into shared storage. The
 // caller must not modify it.
 //
-//prio:noalloc
 //prio:pure
 func (f *Frozen) Topo() []int32 { return f.topo }
 
 // TopoPositions returns pos such that pos[v] is v's rank in Topo order,
 // as a view into shared storage. The caller must not modify it.
 //
-//prio:noalloc
 //prio:pure
 func (f *Frozen) TopoPositions() []int32 { return f.pos }
 
@@ -303,7 +290,6 @@ func (f *Frozen) TopoPositions() []int32 { return f.pos }
 // simulation kernel's hot loop indexes these arrays directly instead of
 // calling Children per node.
 //
-//prio:noalloc
 //prio:pure
 func (f *Frozen) ChildCSR() (childStart, arena []int32) {
 	return f.childStart, f.arena
@@ -311,7 +297,6 @@ func (f *Frozen) ChildCSR() (childStart, arena []int32) {
 
 // HasArc reports whether the arc u -> v exists.
 //
-//prio:noalloc
 //prio:pure
 func (f *Frozen) HasArc(u, v int) bool {
 	f.checkNode(u)

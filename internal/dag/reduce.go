@@ -67,7 +67,6 @@ func (f *Frozen) ShortcutArcs() []Arc {
 	return shortcuts
 }
 
-//prio:noalloc
 func insertionSortByPos(xs []int32, pos []int32) {
 	for i := 1; i < len(xs); i++ {
 		x := xs[i]
@@ -80,7 +79,6 @@ func insertionSortByPos(xs []int32, pos []int32) {
 	}
 }
 
-//prio:noalloc
 func sortArcs(arcs []Arc) {
 	// insertion sort is fine: shortcut lists are short in practice, and
 	// the slice arrives almost sorted (outer loop is by From).

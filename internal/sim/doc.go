@@ -48,6 +48,19 @@
 // policy sees every job exactly once via Eligible before it can return
 // it from Next, and Run validates Params before simulating.
 //
+// # Zero-allocation contract
+//
+// A Runner's steady-state replication performs zero heap allocations:
+// once its pooled buffers and the policy's state have grown to the
+// high-water mark of the seeds it replays, Runner.Run allocates nothing,
+// whichever drain mode (kernel.go) and Policy implementation the run
+// takes. TestRunKernelZeroAllocs is the census that pins it: every
+// drain regime (default parameters, rollover with wide buckets, per-job
+// means past the wheel's horizon, failures with and without rollover)
+// crossed with every Policy implementation Run can dispatch to, each
+// row at 0 allocations per replay of its seeds. The bench-sim gates
+// hold the benchmarked RunKernel rows at 0 allocs/op and 0 B/op.
+//
 // # Concurrency contract
 //
 // Policy implementations (Oblivious, FIFO, and the factory-built

