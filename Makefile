@@ -132,16 +132,21 @@ fuzz:
 	$(GO) test ./internal/dagman -fuzz 'FuzzParse$$' -fuzztime 30s
 	$(GO) test ./internal/dagman -fuzz FuzzParseSubmit -fuzztime 30s
 	$(GO) test ./internal/dagman -fuzz FuzzParseDAGMan -fuzztime 30s
+	$(GO) test ./internal/dagman -fuzz 'FuzzParseOracle$$' -fuzztime 30s
+	$(GO) test ./internal/dagman -fuzz 'FuzzInstrument$$' -fuzztime 30s
 	$(GO) test ./internal/core -fuzz FuzzSchedule -fuzztime 30s
 	$(GO) test ./internal/sim -fuzz FuzzKernelReplication -fuzztime 30s
 	$(GO) test ./internal/serve -fuzz FuzzPrioritizeRequest -fuzztime 30s
 
 # Short fuzz pass for CI: 10s per target on the invariants that matter
-# most (parser round-trip, schedule validity/determinism, pooled-kernel
-# equivalence, response determinism and well-formedness through the
-# real mux).
+# most (parser round-trip, the parser against its reference oracle,
+# instrumentation rewrite safety, schedule validity/determinism,
+# pooled-kernel equivalence, response determinism and well-formedness
+# through the real mux).
 fuzz-smoke:
 	$(GO) test ./internal/dagman -run xxx -fuzz FuzzParseDAGMan -fuzztime 10s
+	$(GO) test ./internal/dagman -run xxx -fuzz 'FuzzParseOracle$$' -fuzztime 10s
+	$(GO) test ./internal/dagman -run xxx -fuzz 'FuzzInstrument$$' -fuzztime 10s
 	$(GO) test ./internal/core -run xxx -fuzz FuzzSchedule -fuzztime 10s
 	$(GO) test ./internal/sim -run xxx -fuzz FuzzKernelReplication -fuzztime 10s
 	$(GO) test ./internal/serve -run xxx -fuzz FuzzPrioritizeRequest -fuzztime 10s

@@ -101,23 +101,21 @@ func run(args []string, w io.Writer) error {
 	sched := core.PrioritizeOpts(g, opts)
 	elapsed := time.Since(start)
 
-	priorities := make(map[string]int, g.NumNodes())
-	for v := 0; v < g.NumNodes(); v++ {
-		priorities[g.Name(v)] = sched.Priority[v]
-	}
-	text := f.Instrument(priorities)
+	text := f.InstrumentIDs(sched.Priority)
 
 	switch {
 	case *inplace:
-		if err := os.WriteFile(input, []byte(text), 0o644); err != nil {
+		if err := os.WriteFile(input, text, 0o644); err != nil {
 			return err
 		}
 	case *out != "":
-		if err := os.WriteFile(*out, []byte(text), 0o644); err != nil {
+		if err := os.WriteFile(*out, text, 0o644); err != nil {
 			return err
 		}
 	default:
-		fmt.Fprint(w, text)
+		if _, err := w.Write(text); err != nil {
+			return err
+		}
 	}
 
 	if *submit {
@@ -234,11 +232,7 @@ func instrumentInPlace(input string, submit bool, opts core.Options) error {
 		return err
 	}
 	sched := core.PrioritizeOpts(g, opts)
-	priorities := make(map[string]int, g.NumNodes())
-	for v := 0; v < g.NumNodes(); v++ {
-		priorities[g.Name(v)] = sched.Priority[v]
-	}
-	if err := os.WriteFile(input, []byte(f.Instrument(priorities)), 0o644); err != nil {
+	if err := os.WriteFile(input, f.InstrumentIDs(sched.Priority), 0o644); err != nil {
 		return err
 	}
 	if submit {

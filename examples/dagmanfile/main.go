@@ -71,11 +71,7 @@ func main() {
 		panic(err)
 	}
 	sched := core.Prioritize(pg)
-	prios := make(map[string]int, pg.NumNodes())
-	for v := 0; v < pg.NumNodes(); v++ {
-		prios[pg.Name(v)] = sched.Priority[v]
-	}
-	if err := os.WriteFile(dagPath, []byte(parsed.Instrument(prios)), 0o644); err != nil {
+	if err := os.WriteFile(dagPath, parsed.InstrumentIDs(sched.Priority), 0o644); err != nil {
 		panic(err)
 	}
 	for _, sub := range subs {

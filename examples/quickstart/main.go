@@ -53,13 +53,10 @@ func main() {
 		fmt.Printf("  %s: %d\n", g.Name(v), sched.Priority[v])
 	}
 
-	// Instrument the DAGMan file the way the prio tool does.
-	priorities := make(map[string]int)
-	for v := 0; v < g.NumNodes(); v++ {
-		priorities[g.Name(v)] = sched.Priority[v]
-	}
+	// Instrument the DAGMan file the way the prio tool does: g's node v
+	// is the file's job v, so the priorities index straight into it.
 	fmt.Println("\nInstrumented DAGMan input file:")
-	fmt.Println(f.Instrument(priorities))
+	fmt.Println(string(f.InstrumentIDs(sched.Priority)))
 
 	// And the one-line change to each job submit description file.
 	sf, err := dagman.ParseSubmit(strings.NewReader("executable = work\nqueue\n"))

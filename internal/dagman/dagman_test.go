@@ -32,8 +32,8 @@ func TestParseFig3(t *testing.T) {
 	if _, ok := f.Job("zzz"); ok {
 		t.Fatal("undeclared job found")
 	}
-	if len(f.Deps) != 3 {
-		t.Fatalf("deps = %v", f.Deps)
+	if len(f.Deps()) != 3 {
+		t.Fatalf("deps = %v", f.Deps())
 	}
 	g, err := f.Graph()
 	if err != nil {
@@ -59,8 +59,8 @@ RETRY x 3
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Jobs) != 2 || len(f.Deps) != 1 {
-		t.Fatalf("parsed %d jobs, %d deps", len(f.Jobs), len(f.Deps))
+	if len(f.Jobs) != 2 || len(f.Deps()) != 1 {
+		t.Fatalf("parsed %d jobs, %d deps", len(f.Jobs), len(f.Deps()))
 	}
 	if j, _ := f.Job("y"); len(j.Extra) != 3 || j.Extra[0] != "DIR" {
 		t.Fatalf("extra tokens = %v", j.Extra)
@@ -122,8 +122,8 @@ func TestMultiParentChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Deps) != 4 {
-		t.Fatalf("deps = %v", f.Deps)
+	if len(f.Deps()) != 4 {
+		t.Fatalf("deps = %v", f.Deps())
 	}
 }
 

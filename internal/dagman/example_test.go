@@ -29,6 +29,25 @@ func ExampleFile_Instrument() {
 	// Parent a Child b
 }
 
+func ExampleFile_InstrumentIDs() {
+	f, _ := dagman.Parse(strings.NewReader(`Job a a.sub
+Job b b.sub
+VARS b site="east"  jobpriority="7"
+Parent a Child b
+`))
+	g, _ := f.Graph()
+	// Node v of g is job v of f, so a schedule's priorities index both.
+	prio := make([]int, g.NumNodes())
+	prio[g.IndexOf("a")], prio[g.IndexOf("b")] = 2, 1
+	fmt.Print(string(f.InstrumentIDs(prio)))
+	// Output:
+	// Job a a.sub
+	// Vars a jobpriority="2"
+	// Job b b.sub
+	// VARS b site="east"  jobpriority="1"
+	// Parent a Child b
+}
+
 func ExampleSubmitFile_InstrumentPriority() {
 	s, _ := dagman.ParseSubmit(strings.NewReader("executable = work\nqueue\n"))
 	s.InstrumentPriority()

@@ -25,9 +25,9 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted file failed to re-parse: %v\ninput: %q", err, input)
 		}
-		if len(again.Jobs) != len(file.Jobs) || len(again.Deps) != len(file.Deps) || len(again.Splices) != len(file.Splices) {
+		if len(again.Jobs) != len(file.Jobs) || len(again.Deps()) != len(file.Deps()) || len(again.Splices) != len(file.Splices) {
 			t.Fatalf("round trip changed shape: %d/%d jobs, %d/%d deps",
-				len(file.Jobs), len(again.Jobs), len(file.Deps), len(again.Deps))
+				len(file.Jobs), len(again.Jobs), len(file.Deps()), len(again.Deps()))
 		}
 		// Building the graph must never panic either (errors are fine;
 		// Freeze validates acyclicity internally).
@@ -90,8 +90,8 @@ func FuzzParseDAGMan(f *testing.F) {
 		if !reflect.DeepEqual(again.Jobs, file.Jobs) {
 			t.Fatalf("round trip changed jobs: %v -> %v", file.Jobs, again.Jobs)
 		}
-		if !reflect.DeepEqual(again.Deps, file.Deps) {
-			t.Fatalf("round trip changed deps: %v -> %v", file.Deps, again.Deps)
+		if !reflect.DeepEqual(again.Deps(), file.Deps()) {
+			t.Fatalf("round trip changed deps: %v -> %v", file.Deps(), again.Deps())
 		}
 		if !reflect.DeepEqual(again.Splices, file.Splices) {
 			t.Fatalf("round trip changed splices: %v -> %v", file.Splices, again.Splices)

@@ -20,12 +20,12 @@ type Splice struct {
 }
 
 // parseSplice extends addLine; called from addLine for SPLICE keywords.
-func (f *File) parseSplice(fields []string, raw string, lineNo int) error {
+func (f *File) parseSplice(fields []string, lineNo int) error {
 	if len(fields) < 3 {
 		return fmt.Errorf("dagman: line %d: SPLICE needs a name and a file", lineNo)
 	}
 	name := fields[1]
-	if _, dup := f.index[name]; dup {
+	if id, dup := f.index[name]; dup && id >= 0 {
 		return fmt.Errorf("dagman: line %d: splice %q collides with a job name", lineNo, name)
 	}
 	for _, s := range f.Splices {
@@ -34,7 +34,6 @@ func (f *File) parseSplice(fields []string, raw string, lineNo int) error {
 		}
 	}
 	f.Splices = append(f.Splices, Splice{Name: name, File: fields[2], Extra: cloneTail(fields[3:])})
-	f.lines = append(f.lines, line{raw: raw})
 	return nil
 }
 
@@ -61,7 +60,7 @@ func (f *File) flatten(load func(string) (*File, error), stack []string) (*File,
 
 	// Outer jobs keep their names and VARS lines.
 	for _, ln := range f.lines {
-		if ln.kind == lineJob || ln.kind == lineVars {
+		if ln.kind != lineOther {
 			b.WriteString(ln.raw)
 			b.WriteByte('\n')
 		}
@@ -93,14 +92,17 @@ func (f *File) flatten(load func(string) (*File, error), stack []string) (*File,
 			}
 			b.WriteByte('\n')
 		}
+		// A spliced VARS line keeps every byte after its job name, so
+		// quoted values keep their inner spacing.
 		for _, ln := range flat.lines {
-			if ln.kind == lineVars {
-				fields := strings.Fields(ln.raw)
-				fmt.Fprintf(&b, "Vars %s %s\n", prefix+fields[1], strings.Join(fields[2:], " "))
+			if ln.kind == lineVars || ln.kind == linePrio {
+				_, end := nextField(ln.raw, 0)
+				start, end := nextField(ln.raw, end)
+				fmt.Fprintf(&b, "Vars %s%s%s\n", prefix, ln.raw[start:end], ln.raw[end:])
 			}
 		}
-		for _, d := range flat.Deps {
-			fmt.Fprintf(&b, "Parent %s Child %s\n", prefix+d.Parent, prefix+d.Child)
+		for i, u := range flat.from {
+			fmt.Fprintf(&b, "Parent %s%s Child %s%s\n", prefix, flat.name(u), prefix, flat.name(flat.to[i]))
 		}
 		var info spliceInfo
 		for _, v := range g.Sources() {
@@ -113,7 +115,7 @@ func (f *File) flatten(load func(string) (*File, error), stack []string) (*File,
 	}
 
 	// Outer dependencies, expanding splice references.
-	for _, d := range f.Deps {
+	for _, d := range f.Deps() {
 		parents := []string{d.Parent}
 		if info, ok := infos[d.Parent]; ok {
 			parents = info.sinks

@@ -162,6 +162,28 @@ func TestFlattenCarriesVars(t *testing.T) {
 	}
 }
 
+// TestFlattenKeepsVarsBytes is the regression test for spliced VARS
+// values: Flatten used to re-join a spliced VARS line's fields with
+// single spaces, collapsing runs of spaces and tabs inside quoted
+// values. Everything after the job name must come out verbatim.
+func TestFlattenKeepsVarsBytes(t *testing.T) {
+	inner := "Job a a.sub\nVARS a args=\"-i  x\tz\"\t jobpriority=\"4\"\n"
+	f, _ := Parse(strings.NewReader("Splice s inner.dag\n"))
+	flat, err := f.Flatten(memLoader(map[string]string{"inner.dag": inner}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "Vars s+a args=\"-i  x\tz\"\t jobpriority=\"4\"\n"
+	if text := flat.String(); !strings.Contains(text, want) {
+		t.Fatalf("spliced VARS line changed:\n%q\nwant a line\n%q", text, want)
+	}
+	// The carried priority is still the job's, so instrumenting the
+	// flattened file rewrites it in place.
+	if out := string(flat.InstrumentIDs([]int{9})); !strings.Contains(out, "Vars s+a args=\"-i  x\tz\"\t jobpriority=\"9\"\n") {
+		t.Fatalf("instrumented flattened file:\n%q", out)
+	}
+}
+
 func TestFlattenNoSplicesIsIdentity(t *testing.T) {
 	f, _ := Parse(strings.NewReader("Job a a.sub\n"))
 	flat, err := f.Flatten(memLoader(nil))

@@ -3,7 +3,6 @@ package decompose
 import (
 	"fmt"
 	"sort"
-	"strconv"
 
 	"repro/internal/dag"
 )
@@ -44,9 +43,10 @@ type Result struct {
 	Shortcuts []dag.Arc
 	// Components lists the detached components in detachment order.
 	Components []*Component
-	// Super is the superdag: node i is component i (named "Ci"); an arc
-	// Ci -> Cj records that a sink of Ci reappears in Cj, so Cj cannot
-	// start before Ci.
+	// Super is the superdag: node i is component i (its name is empty);
+	// an arc i -> j records that component j cannot start before
+	// component i — a sink of i reappears in j, or a job scheduled in j
+	// depends on one scheduled in i.
 	Super *dag.Frozen
 	// ScheduledIn[v] is the index of the component whose schedule
 	// executes job v, or -1 when v is a sink of the whole dag (executed
@@ -89,7 +89,6 @@ func DecomposeOpts(g *dag.Frozen, opts Options) *Result {
 		inBlock:  make([]bool, reduced.NumNodes()),
 		isSource: make([]bool, reduced.NumNodes()),
 		assigned: make([]bool, reduced.NumNodes()),
-		superB:   dag.New(),
 		result: &Result{
 			Reduced:     reduced,
 			Shortcuts:   shortcuts,
@@ -120,13 +119,15 @@ type decomposer struct {
 	inBlock    []bool  // scratch: membership of the block being closed
 	isSource   []bool  // scratch: current-round sources (bipartiteBlocks)
 	assigned   []bool  // scratch: sources grouped this round (bipartiteBlocks)
-	nameBuf    []byte  // scratch: superdag node names ("C<i>")
 	blockBuf   []int   // scratch: nodes of the closure being attempted
 	srcsBuf    []int   // scratch: source queue of the closure being attempted
 	aliveCount int
 	fastPath   bool
-	superB     *dag.Builder // superdag under construction; frozen in run
-	result     *Result
+	// The superdag's arcs in the order they are found, repeats
+	// included: dag.FromArcs keeps each arc's first occurrence, which is
+	// the order combineOrder sees.
+	superFrom, superTo []int32
+	result             *Result
 }
 
 func (d *decomposer) run() {
@@ -147,7 +148,16 @@ func (d *decomposer) run() {
 		d.detach(b, d.isBipartiteSet(b), false)
 	}
 	d.addDependencyArcs()
-	d.result.Super = d.superB.MustFreeze()
+	super, err := dag.FromArcs(make([]string, len(d.result.Components)), nil, d.superFrom, d.superTo)
+	if err != nil {
+		panic(err) // unreachable: every arc runs from an earlier component to a later one
+	}
+	d.result.Super = super
+}
+
+func (d *decomposer) addSuperArc(from, to int) {
+	d.superFrom = append(d.superFrom, int32(from))
+	d.superTo = append(d.superTo, int32(to))
 }
 
 // addDependencyArcs completes the superdag with execution-order
@@ -166,11 +176,8 @@ func (d *decomposer) addDependencyArcs() {
 		}
 		for _, v := range d.g.Children(p) {
 			b := d.result.ScheduledIn[v]
-			if b == -1 || b == a {
-				continue
-			}
-			if !d.superB.HasArc(a, b) {
-				d.superB.MustAddArc(a, b)
+			if b != -1 && b != a {
+				d.addSuperArc(a, b)
 			}
 		}
 	}
@@ -383,18 +390,9 @@ func (d *decomposer) detach(b *block, bipartite, fastPath bool) {
 		Bipartite: bipartite,
 		FastPath:  fastPath,
 	}
-	d.nameBuf = append(d.nameBuf[:0], 'C')
-	d.nameBuf = strconv.AppendInt(d.nameBuf, int64(comp.Index), 10)
-	superNode := d.superB.AddNode(string(d.nameBuf))
-	if superNode != comp.Index {
-		panic("decompose: superdag node/component index mismatch")
-	}
-
 	for _, v := range nodes {
 		if prev := d.owner[v]; prev != -1 && prev != comp.Index {
-			if !d.superB.HasArc(prev, comp.Index) {
-				d.superB.MustAddArc(prev, comp.Index)
-			}
+			d.addSuperArc(prev, comp.Index)
 		}
 		d.owner[v] = comp.Index
 	}

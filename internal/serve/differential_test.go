@@ -28,11 +28,7 @@ func cliInstrumented(t testing.TB, text string) string {
 		t.Fatal(err)
 	}
 	sched := core.PrioritizeOpts(g, core.Options{})
-	priorities := make(map[string]int, g.NumNodes())
-	for v := 0; v < g.NumNodes(); v++ {
-		priorities[g.Name(v)] = sched.Priority[v]
-	}
-	return f.Instrument(priorities)
+	return string(f.InstrumentIDs(sched.Priority))
 }
 
 // TestServedBytesMatchCLI pins the daemon's format=dag responses to the

@@ -5,16 +5,15 @@ import (
 	"sync"
 )
 
-// scratch is the request-scoped working set of the prioritize handler:
-// the job-name→priority map handed to Instrument, the response buffer,
-// and the JSON quoting scratch. Pooling it is the sim.Runner idiom
-// applied to serving — in steady state a request reuses buffers already
-// grown to its dag's high-water mark instead of reallocating them, and
-// make bench-serve-smoke gates the resulting allocs/op.
+// scratch is the request-scoped working set of the prioritize handler's
+// JSON encoding: the response buffer and the quoting scratch. Pooling
+// it is the sim.Runner idiom applied to serving — in steady state a
+// request reuses buffers already grown to its dag's high-water mark
+// instead of reallocating them, and make bench-serve-smoke gates the
+// resulting allocs/op.
 type scratch struct {
-	priorities map[string]int
-	buf        bytes.Buffer
-	qbuf       []byte // strconv.Append* scratch
+	buf  bytes.Buffer
+	qbuf []byte // strconv.Append* scratch
 }
 
 // maxPooledBuf caps the response buffer a pooled scratch may retain.
@@ -25,7 +24,7 @@ const maxPooledBuf = 4 << 20
 
 var scratchPool = sync.Pool{
 	New: func() any {
-		return &scratch{priorities: make(map[string]int), qbuf: make([]byte, 0, 64)}
+		return &scratch{qbuf: make([]byte, 0, 64)}
 	},
 }
 
@@ -35,7 +34,6 @@ func putScratch(s *scratch) {
 	if s.buf.Cap() > maxPooledBuf {
 		return
 	}
-	clear(s.priorities)
 	s.buf.Reset()
 	scratchPool.Put(s)
 }

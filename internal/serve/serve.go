@@ -282,17 +282,13 @@ func (s *Server) handlePrioritize(w http.ResponseWriter, r *http.Request) {
 	opts := core.Options{Parallel: s.cfg.Parallel, Cache: s.tenants.get(tenantName(r))}
 	sched := core.PrioritizeOpts(g, opts)
 
-	sc := getScratch()
-	defer putScratch(sc)
-
 	if format == "dag" {
-		for v := 0; v < g.NumNodes(); v++ {
-			sc.priorities[g.Name(v)] = sched.Priority[v]
-		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = w.Write([]byte(f.Instrument(sc.priorities)))
+		_, _ = w.Write(f.InstrumentIDs(sched.Priority))
 		return
 	}
+	sc := getScratch()
+	defer putScratch(sc)
 	writePrioritizeJSON(sc, g, sched)
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(sc.buf.Bytes())
