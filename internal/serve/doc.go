@@ -22,7 +22,9 @@
 //     with the tenant's cache namespace (below). dag.Frozen is
 //     immutable and core.Cache is concurrency-safe, so requests share
 //     nothing mutable and need no locks of their own.
-//  3. Response. Request-scoped scratch (the priorities map, the
+//  3. Response. format=dag is File.InstrumentIDs over the schedule's
+//     priorities, which are indexed by node id like the file's jobs, so
+//     no name-keyed map is built. The JSON encoding's scratch (the
 //     response buffer, the quoting buffer) comes from a sync.Pool —
 //     the sim.Runner pooling idiom applied to serving — so steady-state
 //     request cost stays allocation-lean; make bench-serve-smoke gates
