@@ -35,7 +35,9 @@ check-race:
 # internal/analysis). Run over ./... so the interprocedural analyzers
 # see every implementation; spot-checking one package weakens purity
 # and nestedlock to intra-package claims. The kernel's zero-alloc
-# contract is not linted: TestRunKernelZeroAllocs measures it.
+# contract is not linted: TestRunKernelZeroAllocs measures it. Nor are
+# the serving layer's goroutine joins, cancellation and response
+# determinism: runtime tests check them (see internal/analysis/doc.go).
 lint:
 	$(GO) run ./cmd/priolint ./...
 

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dagman"
 	"repro/internal/workloads"
@@ -170,6 +172,19 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// expectJoined polls until the goroutine count is back at baseline and
+// fails if it is still above after 5 s: a launcher that returns before
+// its goroutines finish, or whose goroutines block forever, leaves them
+// behind.
+func expectJoined(t *testing.T, what string, baseline int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s left %d goroutine(s) running", what, runtime.NumGoroutine()-baseline)
+		}
+	}
+}
+
 func TestRunMultipleFilesParallel(t *testing.T) {
 	dir := t.TempDir()
 	var paths []string
@@ -181,9 +196,11 @@ func TestRunMultipleFilesParallel(t *testing.T) {
 		paths = append(paths, p)
 	}
 	var out strings.Builder
+	baseline := runtime.NumGoroutine()
 	if err := run(append([]string{"-inplace"}, paths...), &out); err != nil {
 		t.Fatal(err)
 	}
+	expectJoined(t, "a six-file -inplace run", baseline)
 	for _, p := range paths {
 		text, err := os.ReadFile(p)
 		if err != nil {

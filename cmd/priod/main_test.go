@@ -5,16 +5,31 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 )
+
+// expectJoined polls until the goroutine count is back at baseline and
+// fails if it is still above after 5 s: a launcher that returns before
+// its goroutines finish, or whose goroutines block forever, leaves them
+// behind.
+func expectJoined(t *testing.T, what string, baseline int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s left %d goroutine(s) running", what, runtime.NumGoroutine()-baseline)
+		}
+	}
+}
 
 func TestDaemonServesAndShutsDown(t *testing.T) {
 	addrCh := make(chan net.Addr, 1)
 	testHookListen = func(a net.Addr) { addrCh <- a }
 	defer func() { testHookListen = nil }()
 
+	baseline := runtime.NumGoroutine()
 	stop := make(chan os.Signal, 1)
 	done := make(chan error, 1)
 	go func() {
@@ -68,6 +83,10 @@ func TestDaemonServesAndShutsDown(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("daemon did not shut down")
 	}
+	// Shutdown closed the server side of the client's keep-alive
+	// connection; its client-side goroutines unwind on their own.
+	http.DefaultClient.CloseIdleConnections()
+	expectJoined(t, "a daemon start/stop", baseline)
 }
 
 func TestRejectsPositionalArguments(t *testing.T) {

@@ -13,15 +13,14 @@
 // package, in dependency order, sharing a fact store — purity exports
 // an Impure fact for every effectful function it sees, so a violation
 // deep in a dependency surfaces at the annotated entry point with the
-// whole call chain. Program analyzers (nestedlock, goroleak, ctxflow,
-// chanbound, respdet, bce, inline) run once over all loaded packages
-// together with the whole-program call graph. The analyzers that
-// consume compiler facts (bce, inline) share a single instrumented
-// `go build` of the loaded tree — the compiler runs at most once per
-// priolint invocation.
-// Interface calls resolve only to implementations loaded from source,
-// so run the tool over ./... (the default) for the contracts to be
-// proved rather than spot-checked.
+// whole call chain. Program analyzers (nestedlock, bce, inline) run
+// once over all loaded packages together with the whole-program call
+// graph. The analyzers that consume compiler facts (bce, inline) share
+// a single instrumented `go build` of the loaded tree — the compiler
+// runs at most once per priolint invocation. Interface calls resolve
+// only to implementations loaded from source, so run the tool over
+// ./... (the default) for the contracts to be proved rather than
+// spot-checked.
 //
 // -format json emits the findings as a JSON array of
 // {file, line, col, analyzer, message, path} objects, where path is
@@ -43,12 +42,9 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/bce"
 	"repro/internal/analysis/callgraph"
-	"repro/internal/analysis/chanbound"
 	"repro/internal/analysis/compilerfact"
-	"repro/internal/analysis/ctxflow"
 	"repro/internal/analysis/errpropagation"
 	"repro/internal/analysis/facts"
-	"repro/internal/analysis/goroleak"
 	"repro/internal/analysis/inline"
 	"repro/internal/analysis/load"
 	"repro/internal/analysis/lockedfield"
@@ -56,24 +52,19 @@ import (
 	"repro/internal/analysis/nestedlock"
 	"repro/internal/analysis/pragmacheck"
 	"repro/internal/analysis/purity"
-	"repro/internal/analysis/respdet"
 	"repro/internal/analysis/rngsource"
 )
 
 // suite is every analyzer priolint knows, in reporting order.
 var suite = []*analysis.Analyzer{
 	bce.Analyzer,
-	chanbound.Analyzer,
-	ctxflow.Analyzer,
 	errpropagation.Analyzer,
-	goroleak.Analyzer,
 	inline.Analyzer,
 	lockedfield.Analyzer,
 	mapiterorder.Analyzer,
 	nestedlock.Analyzer,
 	pragmacheck.Analyzer,
 	purity.Analyzer,
-	respdet.Analyzer,
 	rngsource.Analyzer,
 }
 

@@ -88,9 +88,8 @@ func run(args []string, w io.Writer) error {
 		srv := &http.Server{Handler: s.Handler()}
 		// The buffered channel joins the serve goroutine: Serve returns
 		// (with ErrServerClosed) once Close runs, and the buffer lets the
-		// final send complete even before the receive. goroleak proves
-		// this shape; the bare `go srv.Serve(ln)` it replaced leaked the
-		// goroutine past run's return.
+		// final send complete even before the receive.
+		// TestRunJoinsGoroutines pins the join.
 		errc := make(chan error, 1)
 		go func() { errc <- srv.Serve(ln) }()
 		defer func() {

@@ -74,9 +74,9 @@ func TestRejectsBadFlagValues(t *testing.T) {
 	}
 }
 
-// TestRunJoinsGoroutines pins the fix goroleak forced: run must join
-// the in-process server's Serve goroutine (and close idle client
-// connections) before returning, so repeated invocations cannot
+// TestRunJoinsGoroutines: run must join the in-process server's Serve
+// goroutine and every client goroutine, and close idle client
+// connections, before returning, so repeated invocations cannot
 // accumulate goroutines.
 func TestRunJoinsGoroutines(t *testing.T) {
 	args := []string{"-dags", "airsn", "-scale", "16", "-clients", "2", "-requests", "2", "-warmup", "1"}
@@ -84,25 +84,29 @@ func TestRunJoinsGoroutines(t *testing.T) {
 	if err := run(args, &buf); err != nil { // warm pools and lazy singletons
 		t.Fatal(err)
 	}
+	// The warm-up run's connection goroutines unwind asynchronously
+	// after Close; take the baseline once the count has stopped falling,
+	// or their exit would mask a leak.
 	baseline := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		time.Sleep(50 * time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n >= baseline {
+			break
+		}
+		baseline = n
+	}
 	for i := 0; i < 3; i++ {
 		buf.Reset()
 		if err := run(args, &buf); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// The joined shape leaves no per-run goroutines; allow a little
-	// slack for runtime-internal background work, then poll because
-	// net/http connection goroutines unwind asynchronously after Close.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		n := runtime.NumGoroutine()
-		if n <= baseline+3 {
-			break
-		}
+	// Poll for the same reason.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines grew from %d to %d across three runs: the serve goroutine or client connections leak", baseline, n)
+			t.Fatalf("goroutines grew from %d to %d across three runs: the serve goroutine, a client goroutine or a client connection leaks",
+				baseline, runtime.NumGoroutine())
 		}
-		time.Sleep(50 * time.Millisecond)
 	}
 }

@@ -21,9 +21,8 @@ import (
 // dependency order, sharing a fact set with every other pass of the
 // driver run (purity propagates its summaries this way). A program
 // analyzer sets RunProgram instead and is handed every loaded package
-// at once together with the whole-program call graph (nestedlock and
-// the handler-reachability analyzers need cross-package reachability,
-// not per-package facts).
+// at once together with the whole-program call graph (nestedlock
+// needs cross-package lock ordering, not per-package facts).
 type Analyzer struct {
 	Name       string
 	Doc        string

@@ -2,8 +2,7 @@
 // packages a driver run loaded from source. Nodes are function
 // declarations, methods, and function literals; edges are recorded at
 // every call expression with a classification the interprocedural
-// analyzers (nestedlock, and the handler walks in package reach)
-// dispatch on:
+// analyzer (nestedlock) and the -debug-callgraph dump report:
 //
 //   - Static: the callee is a single known function — a package-level
 //     call, a method call on a concrete receiver, a call of a local
@@ -67,19 +66,11 @@ type Node struct {
 	// Key uniquely names the node: "pkg.Func", "pkg.(Recv).Method", or
 	// "<encloser key>$litN" for literals.
 	Key string
-	// Func is the type-checker's object, nil only for literals.
-	Func *types.Func
-	// Lit is set for function-literal nodes.
-	Lit *ast.FuncLit
-	// Decl is set for declared functions loaded from source.
-	Decl *ast.FuncDecl
 	// Body is nil for external nodes (no source loaded).
 	Body *ast.BlockStmt
 	// Pkg is the loaded package containing the node, nil for external
 	// nodes.
 	Pkg *load.Package
-	// InTest reports whether the node is declared in a _test.go file.
-	InTest bool
 	// Out lists the node's call edges in source order (interface edges
 	// fan out in implementation-key order at one site).
 	Out []Edge
@@ -167,15 +158,12 @@ func (g *Graph) NodeOf(fn *types.Func) *Node {
 		g.byFunc[fn] = n
 		return n
 	}
-	n := &Node{Key: key, Func: fn}
+	n := &Node{Key: key}
 	g.byFunc[fn] = n
 	g.byKey[key] = n
 	g.Nodes = append(g.Nodes, n)
 	return n
 }
-
-// Lookup returns the node with the given key, or nil.
-func (g *Graph) Lookup(key string) *Node { return g.byKey[key] }
 
 // Build constructs the graph for the given packages (in the order load
 // returned them, which the driver keeps topological).
@@ -199,8 +187,7 @@ func Build(pkgs []*load.Package) *Graph {
 			}
 		}
 		ninits := 0
-		for fi, file := range pkg.Syntax {
-			inTest := strings.HasSuffix(pkg.GoFiles[fi], "_test.go")
+		for _, file := range pkg.Syntax {
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok {
@@ -215,25 +202,21 @@ func Build(pkgs []*load.Package) *Graph {
 					// Every init function is a distinct object sharing
 					// one name; give each its own node.
 					ninits++
-					n = &Node{Key: fmt.Sprintf("%s.init#%d", pkg.ImportPath, ninits), Func: fn}
+					n = &Node{Key: fmt.Sprintf("%s.init#%d", pkg.ImportPath, ninits)}
 					g.byFunc[fn] = n
-					g.byKey[n.Key] = n
 					g.Nodes = append(g.Nodes, n)
 				} else {
 					n = g.NodeOf(fn)
 				}
-				n.Decl = fd
 				n.Body = fd.Body
 				n.Pkg = pkg
-				n.InTest = inTest
 			}
 		}
 	}
 
 	// Pass 2: edges.
 	for _, pkg := range pkgs {
-		for fi, file := range pkg.Syntax {
-			inTest := strings.HasSuffix(pkg.GoFiles[fi], "_test.go")
+		for _, file := range pkg.Syntax {
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
@@ -243,7 +226,7 @@ func Build(pkgs []*load.Package) *Graph {
 				if !ok {
 					continue
 				}
-				b := &builder{g: g, pkg: pkg, inTest: inTest}
+				b := &builder{g: g, pkg: pkg}
 				b.walk(g.NodeOf(fn), fd.Body)
 			}
 		}
@@ -256,7 +239,6 @@ func Build(pkgs []*load.Package) *Graph {
 type builder struct {
 	g        *Graph
 	pkg      *load.Package
-	inTest   bool
 	nlits    int
 	callFuns map[*ast.SelectorExpr]bool
 }
@@ -271,13 +253,10 @@ func (b *builder) walk(cur *Node, body ast.Node) {
 		case *ast.FuncLit:
 			b.nlits++
 			lit := &Node{
-				Key:    fmt.Sprintf("%s$lit%d", cur.Key, b.nlits),
-				Lit:    n,
-				Body:   n.Body,
-				Pkg:    b.pkg,
-				InTest: b.inTest,
+				Key:  fmt.Sprintf("%s$lit%d", cur.Key, b.nlits),
+				Body: n.Body,
+				Pkg:  b.pkg,
 			}
-			b.g.byKey[lit.Key] = lit
 			b.g.Nodes = append(b.g.Nodes, lit)
 			if bound, ok := byLit[n]; ok {
 				bound.node = lit

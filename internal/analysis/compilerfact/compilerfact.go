@@ -9,7 +9,7 @@
 // summaries in the driver's fact store. Every other note (escape
 // decisions, devirtualization, elided checks) is skipped.
 //
-// The abstract analyzers (purity, respdet, ...) prove properties by
+// The abstract analyzers (purity, nestedlock, ...) prove properties by
 // their own reading of the source; nothing stops the compiler from
 // disagreeing — a refactor can reintroduce a bounds check or break an
 // inlining decision without changing any property the source-level

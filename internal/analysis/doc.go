@@ -107,62 +107,52 @@
 // signal, and the write paths all sync through os.WriteFile, which is
 // covered.
 //
-// # The serving-layer proofs
+// # The serving layer is tested, not proved
 //
-// The four analyzers below extend the suite from kernel purity to
-// service safety: they walk the whole-program call graph from every
-// HTTP handler (or from an annotated response path) and prove the
-// daemon properties the load generator and differential tests can only
-// sample. The shared reachability layer is subpackage reach: roots are
-// all non-test functions shaped func(http.ResponseWriter,
-// *http.Request), traversal follows static and interface edges
-// (skipping _test.go implementations — test doubles never serve daemon
-// traffic), and dynamic edges are compensated for by rooting at every
-// handler-shaped function.
+// Four whole-program analyzers (goroleak, ctxflow, chanbound, respdet)
+// and their handler-reachability layer used to guard the daemon's
+// goroutine joins, client cancellation, bounded channel sends and
+// response determinism, with a //prio:deterministic pragma on the
+// /v1/prioritize handler. They were deleted after a mutation census:
+// each violation they existed to catch was injected into a scratch copy
+// and go test ./... (or make check-race) was run without priolint.
+// Every row goes red in the runtime tests that replaced them; the time
+// is how long the first red test took:
 //
-// Goroutine lifecycle (analyzer goroleak). Every `go` statement in
-// non-test code must launch a function literal whose termination the
-// enclosing declaration proves lexically: a sync.WaitGroup Done in the
-// goroutine with a matching Wait outside it, a final send on a
-// buffered channel the launcher makes (non-zero capacity) and receives
-// from, or a select on ctx.Done / a channel the launcher closes.
-// Named-function launches are always flagged — wrap them in a literal
-// carrying one of the joins. This turned the load generator's leaked
-// `go srv.Serve(ln)` into a compile gate instead of a slow RSS climb.
+//	mutation                                         red test
+//	drop wg.Wait: core scheduleComponents            TestParallelMatchesSequentialWorkloads
+//	drop wg.Wait: core precomputeAll                 TestPrecomputeAllJoins; -race: data race
+//	drop wg.Wait: sim engine, prio runParallel,      each package's output tests (engine golden,
+//	  prioload drive                                 TestRunMultipleFilesPartialFailure, TestLoadOutputFormat)
+//	core panics channel unbuffered                   TestRecurseComponentPanicPropagates (10 s)
+//	leaked goroutine at each of the 7 go statements  the package's join check (5 s): TestParallelRecurseJoins,
+//	                                                 TestPrecomputeAllJoins, TestCompareGridResumeJoins,
+//	                                                 TestRunMultipleFilesParallel, TestDaemonServesAndShutsDown,
+//	                                                 TestRunJoinsGoroutines (serve and client goroutines)
+//	acquire(context.Background()) in instrument      TestQueuedRequestCanceled (2 s)
+//	no ctx.Done case in acquire's queue wait         TestQueuedRequestCanceled (2 s)
+//	time.Sleep(QueueTimeout) in handlePrioritize     TestQueuedRequestCanceled (5 s)
+//	any of acquire's three selects as a bare send    TestQueueFullImmediate429, TestDeadlineShed429,
+//	                                                 TestQueuedRequestCanceled (5 s, naming the stage)
+//	clock read, map-ordered field, NumGoroutine or   TestPrioritizeResponseDeterministic (2 s);
+//	  /proc/self/statm read in the JSON response     the fuzz seeds also catch all but NumGoroutine
+//	self-deadlock in Cache.store, tenantCaches.get   binary timeout; TestQueuedRequestCanceled for get
 //
-// Context flow (analyzer ctxflow). On every function reachable from a
-// handler, context.Background and context.TODO (which detach work from
-// client cancellation and pin admission slots past the client's
-// departure) and time.Sleep (which blocks without a cancellation case)
-// are banned. Waiting on a handler path must be a select with
-// ctx.Done, the shape internal/serve/admission.go models.
+// Before those tests existed, ctxflow was the only guard against the
+// detached context and nothing caught the missing ctx.Done case. The
+// census also showed the analyzers misjudging real code: goroleak
+// passed the unbuffered panics channel, which blocks a panicking worker
+// forever, and flagged priod's errc made unbuffered, which is not a
+// leak because run always receives; chanbound passed all three bare
+// sends, because both admission channels are made with non-zero
+// capacity and it accepted any send on such a channel.
 //
-// Bounded channels (analyzer chanbound). Every channel send reachable
-// from a handler must be inside a select with a default or timeout
-// case (time.After, Timer/Ticker .C, ctx.Done), or on a channel whose
-// every non-test make site passes an explicit non-zero capacity. A
-// send that can block unboundedly while holding an admission slot
-// turns backpressure into deadlock; this pins the admission layer's
-// construction.
-//
-// Response determinism (analyzer respdet). A function annotated
-//
-//	//prio:deterministic
-//	func (s *Server) handlePrioritize(w http.ResponseWriter, r *http.Request)
-//
-// must produce output that is a function of its input alone: nothing
-// reachable from it may read the clock (time.Now/Since/Until), draw
-// from the process-global math/rand source (explicitly seeded *Rand
-// values stay legal), touch process or filesystem state (os, os/exec,
-// syscall — this keeps /proc reads off the response path), observe the
-// runtime (ReadMemStats, NumGoroutine), or range over a map in an
-// order-dependent way (the mapiterorder discipline, applied
-// transitively: collect-then-sort, keyed writes, and integer
-// accumulation are fine; float accumulation, early returns, and
-// escaping writes are not). The /v1/prioritize handler carries the
-// annotation; /metrics deliberately does not — it reports clocks and
-// gauges by design, and its exemption is the absence of the contract
-// (see docs/OPERATIONS.md).
+// Lock nesting keeps its analyzer. A lock-order cycle between
+// latencyWindow.mu and tenantCaches.mu, injected the same way, leaves
+// go test ./... and make check-race green — it deadlocks only when the
+// two paths interleave — and only nestedlock goes red. That mutation is
+// the reason nestedlock, and with it callgraph, RunProgram and
+// -debug-callgraph, stays; CI's nestedlockclean probe pins it.
 //
 // # The compiler-fact proofs
 //
@@ -208,13 +198,11 @@
 // An analyzer that matches nothing on the real tree passes exactly
 // like one that proves something. TestContractCensus in cmd/priolint
 // keeps the suite honest: every recognized pragma must annotate at
-// least one non-test function, the sites the documentation names
-// (core.Prioritize, serve.(*Server).handlePrioritize) must carry their
-// pragmas, and every analyzer without a pragma must
-// show a non-empty scope on the tree — a "// guarded by" field for
-// lockedfield, a go statement for goroleak, an HTTP handler for ctxflow
-// and chanbound. A new analyzer with no binding site fails the test
-// until it gets one.
+// least one non-test function, the site the documentation names
+// (core.Prioritize) must carry its pragma, and every analyzer without a
+// pragma must show a non-empty scope on the tree — a "// guarded by"
+// field for lockedfield, a mutex acquisition for nestedlock. A new
+// analyzer with no binding site fails the test until it gets one.
 //
 // # Zero allocation is measured, not proved
 //

@@ -23,10 +23,9 @@ const Prefix = "prio:"
 // A pragma outside this map is a typo: it reads like a contract but no
 // analyzer will ever check it.
 var Known = map[string]string{
-	"prio:pure":          "purity",
-	"prio:deterministic": "respdet",
-	"prio:nobce":         "bce",
-	"prio:inline":        "inline",
+	"prio:pure":   "purity",
+	"prio:nobce":  "bce",
+	"prio:inline": "inline",
 }
 
 // Of returns the pragma lines of a comment group, in order: every

@@ -24,6 +24,12 @@ func retired() {} // want `unrecognized pragma //prio:devirt enforces nothing`
 //prio:noalloc
 func retiredNoalloc() {} // want `unrecognized pragma //prio:noalloc enforces nothing`
 
+// Response determinism is a runtime test of the daemon now, so its
+// pragma is retired as well.
+//
+//prio:deterministic
+func retiredDeterministic() {} // want `unrecognized pragma //prio:deterministic enforces nothing`
+
 // A pragma on a type declaration binds to nothing.
 //
 //prio:pure
@@ -31,14 +37,15 @@ type notAFunc struct{} // want `pragma //prio:pure is not the doc comment of a f
 
 // A pragma on a var declaration binds to nothing either.
 //
-//prio:deterministic
-var counter int // want `pragma //prio:deterministic is not the doc comment of a function declaration`
+//prio:inline
+var counter int // want `pragma //prio:inline is not the doc comment of a function declaration`
 
 var (
 	_ = typo
 	_ = trailing
 	_ = retired
 	_ = retiredNoalloc
+	_ = retiredDeterministic
 	_ = notAFunc{}
 	_ = counter
 )

@@ -18,10 +18,7 @@ func run(xs []int) int {
 //prio:inline
 func double(x int) int { return x * 2 }
 
-//prio:deterministic
-func respond(x int) int { return double(x) }
-
 var (
 	_ = run
-	_ = respond
+	_ = double
 )

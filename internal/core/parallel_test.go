@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/decompose"
 	"repro/internal/rng"
@@ -178,9 +180,68 @@ func TestParallelWorkersNormalization(t *testing.T) {
 	}
 }
 
+// expectJoined polls until the goroutine count is back at baseline and
+// fails if it is still above after 5 s: a launcher that returns before
+// its goroutines finish, or whose goroutines block forever, leaves them
+// behind.
+func expectJoined(t *testing.T, what string, baseline int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s left %d goroutine(s) running", what, runtime.NumGoroutine()-baseline)
+		}
+	}
+}
+
+// TestParallelRecurseJoins: the parallel pipeline (Recurse workers and
+// the Combine-phase matrix fill) joins every goroutine it starts before
+// PrioritizeOpts returns.
+func TestParallelRecurseJoins(t *testing.T) {
+	g, err := workloads.ByName("inspiral", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+	for i := 0; i < 3; i++ {
+		PrioritizeOpts(g, Options{Parallel: 4, Cache: NewCache()})
+	}
+	expectJoined(t, "PrioritizeOpts with Parallel: 4", baseline)
+}
+
+// TestPrecomputeAllJoins: precomputeAll returns only after every cell
+// of the pairwise matrix is filled, with the values PriorityR gives,
+// and with no worker left running. The paper dags have at most six
+// distinct profiles, so the table is synthetic: 120 random profiles.
+func TestPrecomputeAllJoins(t *testing.T) {
+	r := rng.New(11)
+	pt := newProfileTable()
+	for pt.numProfiles() < 120 {
+		profile := make([]int, 8+r.Intn(32))
+		for x := range profile {
+			profile[x] = 1 + r.Intn(20)
+		}
+		pt.intern(profile)
+	}
+	n := pt.numProfiles()
+	baseline := runtime.NumGoroutine()
+	pt.precomputeAll(4)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if !pt.rDone[i].Contains(j) {
+				t.Fatalf("precomputeAll returned with cell (%d,%d) unfilled", i, j)
+			}
+			if got, want := pt.rVals[i][j], PriorityR(pt.profiles[i], pt.profiles[j]); got != want {
+				t.Fatalf("cell (%d,%d) = %v, want %v", i, j, got, want)
+			}
+		}
+	}
+	expectJoined(t, "precomputeAll(4)", baseline)
+}
+
 // TestRecurseComponentPanicPropagates: an invalid component must panic
 // on the caller's goroutine in the parallel path, exactly as the
-// sequential path would.
+// sequential path would, and every worker must exit even though all of
+// them panicked.
 func TestRecurseComponentPanicPropagates(t *testing.T) {
 	// A cycle can no longer reach the Recurse phase (Freeze rejects it),
 	// so a nil Sub stands in for "a buggy component": classifying it
@@ -189,10 +250,19 @@ func TestRecurseComponentPanicPropagates(t *testing.T) {
 	for i := range comps {
 		comps[i] = &decompose.Component{Index: i, Sub: nil, Orig: []int{0, 1}}
 	}
-	defer func() {
-		if recover() == nil {
+	baseline := runtime.NumGoroutine()
+	panicked := make(chan bool, 1)
+	go func() {
+		defer func() { panicked <- recover() != nil }()
+		scheduleComponents(comps, 4, nil)
+	}()
+	select {
+	case ok := <-panicked:
+		if !ok {
 			t.Fatal("no panic from invalid component in parallel path")
 		}
-	}()
-	scheduleComponents(comps, 4, nil)
+	case <-time.After(10 * time.Second):
+		t.Fatal("scheduleComponents did not return within 10s of its workers panicking: a worker is blocked reporting its panic")
+	}
+	expectJoined(t, "scheduleComponents after worker panics", baseline)
 }

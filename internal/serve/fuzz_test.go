@@ -10,8 +10,9 @@ import (
 )
 
 // FuzzPrioritizeRequest hammers POST /v1/prioritize through the real
-// mux with arbitrary bodies and checks the properties the respdet
-// proof promises dynamically:
+// mux with arbitrary bodies (TestPrioritizeResponseDeterministic covers
+// concurrency, tenants and /metrics scrapes on one paper dag) and
+// checks:
 //
 //   - determinism: the same request twice (the second hitting the
 //     tenant cache) yields the same status and byte-identical body;

@@ -264,9 +264,10 @@ func (s *Server) readDag(w http.ResponseWriter, r *http.Request) (*dagman.File, 
 // handlePrioritize runs the prio pipeline on the posted DAGMan file.
 // format=json (default) returns the structured schedule; format=dag
 // returns the instrumented DAGMan text, byte-identical to what
-// cmd/prio emits for the same input (the differential tests pin this).
-//
-//prio:deterministic
+// cmd/prio emits for the same input. Either response is a function of
+// the request alone: no clock, gauge, process state or map order may
+// reach it (TestPrioritizeResponseDeterministic and the differential
+// tests pin both).
 func (s *Server) handlePrioritize(w http.ResponseWriter, r *http.Request) {
 	format := r.URL.Query().Get("format")
 	switch format {

@@ -8,7 +8,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 )
 
 // fig3Dag is the paper's worked 5-job example (Fig. 3): c has two
@@ -139,56 +138,6 @@ func TestMethodAndRouteErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET /nope: status = %d, want 404", resp.StatusCode)
-	}
-}
-
-func TestQueueFullImmediate429(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxInFlight: 1, MaxQueue: 1, QueueTimeout: time.Minute})
-	// Occupy the only in-flight slot and the only queue seat, so the
-	// next request is rejected without waiting.
-	s.adm.slots <- struct{}{}
-	s.adm.queue <- struct{}{}
-	defer func() { <-s.adm.slots; <-s.adm.queue }()
-
-	resp := post(t, ts.URL+"/v1/prioritize", fig3Dag, nil)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After header")
-	}
-	e := decodeBody[errorBody](t, resp)
-	if !strings.Contains(e.Error, "queue full") {
-		t.Fatalf("error = %q, want a queue-full message", e.Error)
-	}
-	if got := s.Metrics().Shed.QueueFull; got != 1 {
-		t.Fatalf("shed.queue_full = %d, want 1", got)
-	}
-}
-
-func TestDeadlineShed429(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxInFlight: 1, MaxQueue: 4, QueueTimeout: 30 * time.Millisecond})
-	// Occupy the slot: the request queues, waits out the deadline, and
-	// is shed.
-	s.adm.slots <- struct{}{}
-	defer func() { <-s.adm.slots }()
-
-	start := time.Now()
-	resp := post(t, ts.URL+"/v1/prioritize", fig3Dag, nil)
-	waited := time.Since(start)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want 429", resp.StatusCode)
-	}
-	e := decodeBody[errorBody](t, resp)
-	if !strings.Contains(e.Error, "shed") {
-		t.Fatalf("error = %q, want a shed message", e.Error)
-	}
-	if waited < 30*time.Millisecond {
-		t.Fatalf("shed after %v, before the 30ms deadline", waited)
-	}
-	snap := s.Metrics()
-	if snap.Shed.Deadline != 1 {
-		t.Fatalf("shed.deadline = %d, want 1", snap.Shed.Deadline)
 	}
 }
 

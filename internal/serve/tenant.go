@@ -45,9 +45,9 @@ func (t *tenantCaches) get(tenant string) *core.Cache {
 		// Evict the LRU entry over a sorted key list, not the raw map:
 		// lastUse values are unique (the clock ticks on every get), so
 		// the minimum never depends on iteration order — but scanning in
-		// sorted order makes that provable (the respdet analyzer's
-		// collect-then-sort discipline) and keeps eviction deterministic
-		// even if the uniqueness invariant ever breaks.
+		// sorted order makes that evident (the collect-then-sort
+		// discipline) and keeps eviction deterministic even if the
+		// uniqueness invariant ever breaks.
 		names := make([]string, 0, len(t.entries))
 		for name := range t.entries {
 			names = append(names, name)

@@ -8,8 +8,8 @@ import (
 // TestTenantEvictionDeterministic pins the LRU eviction order: seed a
 // full namespace map with a known access history, trigger evictions,
 // and check exactly the least-recently-used tenants disappear. The
-// collect-then-sort scan in get() keeps this provable under respdet;
-// this test keeps it true under refactoring.
+// collect-then-sort scan in get() makes this evident; this test keeps
+// it true under refactoring.
 func TestTenantEvictionDeterministic(t *testing.T) {
 	tc := newTenantCaches(3)
 	has := func(name string) bool {

@@ -4,8 +4,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dag"
 	"repro/internal/workloads"
@@ -140,6 +142,36 @@ func TestCompareGridResume(t *testing.T) {
 			}
 		}
 	}
+}
+
+// expectJoined polls until the goroutine count is back at baseline and
+// fails if it is still above after 5 s: a launcher that returns before
+// its goroutines finish, or whose goroutines block forever, leaves them
+// behind.
+func expectJoined(t *testing.T, what string, baseline int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s left %d goroutine(s) running", what, runtime.NumGoroutine()-baseline)
+		}
+	}
+}
+
+// TestCompareGridResumeJoins: the engine's workers are joined before
+// CompareGridResume returns, on a fresh sweep and on a partly resumed
+// one.
+func TestCompareGridResumeJoins(t *testing.T) {
+	g, points, a, b, opts := testSweep(t)
+	opts.Workers = 4
+	baseline := runtime.NumGoroutine()
+	have := make(map[int]PointSample)
+	CompareGridResume(g, points, a, b, opts, nil, func(i int, s PointSample) {
+		if len(have) < 2 {
+			have[i] = s
+		}
+	}, nil)
+	CompareGridResume(g, points, a, b, opts, have, nil, nil)
+	expectJoined(t, "CompareGridResume with 4 workers", baseline)
 }
 
 // TestManifestRoundTrip checks the hex-float persistence: a PointSample
