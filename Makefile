@@ -47,9 +47,15 @@ race:
 cover:
 	$(GO) test -cover ./internal/...
 
-# One benchmark per paper exhibit plus the Section 3.5 ablations.
+# One benchmark per paper exhibit. The Section 3.5 ablations time the
+# designs production replaced against their test-only oracles in
+# internal/decompose and internal/core, and regenerate
+# results/ablations.txt (each fails if its two variants disagree).
 bench:
 	$(GO) test . -bench . -benchmem -benchtime 3x
+	mkdir -p results
+	$(GO) test ./internal/decompose ./internal/core -run '^$$' -bench Ablation -benchmem -benchtime 3x > results/ablations.txt
+	cat results/ablations.txt
 
 # Replication-kernel throughput: run the simulation-engine benchmarks,
 # archive the raw text in results/engine-bench.txt, and emit
@@ -153,7 +159,9 @@ fuzz-smoke:
 	$(GO) test ./internal/sim -run xxx -fuzz FuzzKernelReplication -fuzztime 10s
 	$(GO) test ./internal/serve -run xxx -fuzz FuzzPrioritizeRequest -fuzztime 10s
 
-# Regenerate the Figures 6-9 sweeps into results/ (about 10 minutes).
+# Regenerate the Figures 6-9 sweeps, the Fig. 4 eligibility summaries
+# and the Section 3.6 overhead table (BenchmarkOverhead) into results/
+# (about 10 minutes).
 sweeps:
 	mkdir -p results
 	$(GO) run ./cmd/simgrid -dag airsn    -scale 1 -p 25 -q 25 > results/fig6_airsn.txt
@@ -164,7 +172,7 @@ sweeps:
 	$(GO) run ./cmd/eligdiff -dag inspiral -summary >> results/fig4_eligibility.txt
 	$(GO) run ./cmd/eligdiff -dag montage -summary  >> results/fig4_eligibility.txt
 	$(GO) run ./cmd/eligdiff -dag sdss -summary     >> results/fig4_eligibility.txt
-	$(GO) run ./cmd/overhead > results/overhead.txt
+	$(GO) test . -run '^$$' -bench Overhead -benchmem > results/overhead.txt
 
 examples:
 	$(GO) run ./examples/quickstart

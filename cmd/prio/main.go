@@ -12,12 +12,15 @@
 //	-submit      also instrument the referenced JSDFs in place
 //	-dot file    write the prioritized dag in Graphviz format
 //	-stats       print scheduling statistics to stderr
-//	-naive       use the pre-engineering naive Combine phase (Section 3.5)
 //	-parallel N  Recurse-phase workers (1 = sequential reference; <=0 = all CPUs)
 //	-cache       memoize component schedules and the transitive reduction
+//	-theoretical report whether the idealized Section 2.2 algorithm handles the dag
+//	-explain j   explain the priority of job j (comma list) on stderr
 //
 // Several DAGMan files may be given with -inplace; they are prioritized
-// in parallel.
+// in parallel, each through the same per-file pipeline as a single
+// input. -o, -dot, -explain and -theoretical name one file's outputs,
+// so prio rejects them with several inputs, and -o with -inplace.
 package main
 
 import (
@@ -51,7 +54,6 @@ func run(args []string, w io.Writer) error {
 	submit := fs.Bool("submit", false, "also instrument referenced submit description files in place")
 	dotOut := fs.String("dot", "", "write the prioritized dag in Graphviz dot format")
 	showStats := fs.Bool("stats", false, "print scheduling statistics to stderr")
-	naive := fs.Bool("naive", false, "use the naive Combine implementation")
 	parallel := fs.Int("parallel", 1, "Recurse-phase worker count (1 = sequential reference, <=0 = all CPUs)")
 	useCache := fs.Bool("cache", false, "memoize component schedules and the transitive reduction")
 	theoretical := fs.Bool("theoretical", false, "also report whether the idealized Section 2.2 algorithm handles this dag")
@@ -62,68 +64,41 @@ func run(args []string, w io.Writer) error {
 	if fs.NArg() < 1 {
 		return fmt.Errorf("usage: prio [flags] input.dag [more.dag ...]")
 	}
-	if fs.NArg() > 1 {
+	if *inplace && *out != "" {
+		return fmt.Errorf("-o cannot be combined with -inplace, which rewrites the input file")
+	}
+	inputs := fs.Args()
+	if len(inputs) > 1 {
 		if !*inplace {
 			return fmt.Errorf("multiple inputs require -inplace")
 		}
-		return runParallel(fs.Args(), *submit, *naive, *parallel, *useCache, *showStats)
-	}
-	input := fs.Arg(0)
-
-	f, err := dagman.ParseFile(input)
-	if err != nil {
-		return err
-	}
-	if len(f.Splices) > 0 {
-		// Spliced workflows are flattened first; the instrumented output
-		// is the flattened file, which is what DAGMan executes anyway.
-		f, err = f.Flatten(dagman.LoadSplice(filepath.Dir(input)))
-		if err != nil {
-			return err
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{{"dot", *dotOut != ""}, {"explain", *explain != ""}, {"theoretical", *theoretical}} {
+			if f.set {
+				return fmt.Errorf("-%s needs a single input file", f.name)
+			}
 		}
 	}
-	g, err := f.Graph()
-	if err != nil {
-		return err
-	}
 
-	opts := core.Options{Parallel: *parallel}
+	c := &config{out: *out, inplace: *inplace, submit: *submit, opts: core.Options{Parallel: *parallel}}
 	if *parallel <= 0 {
-		opts.Parallel = -1 // one worker per logical CPU
-	}
-	if *naive {
-		opts.Combine = core.CombineNaive
+		c.opts.Parallel = -1 // one worker per logical CPU
 	}
 	if *useCache {
-		opts.Cache = core.NewCache()
+		c.opts.Cache = core.NewCache()
 	}
-	start := time.Now()
-	sched := core.PrioritizeOpts(g, opts)
-	elapsed := time.Since(start)
-
-	text := f.InstrumentIDs(sched.Priority)
-
-	switch {
-	case *inplace:
-		if err := os.WriteFile(input, text, 0o644); err != nil {
-			return err
-		}
-	case *out != "":
-		if err := os.WriteFile(*out, text, 0o644); err != nil {
-			return err
-		}
-	default:
-		if _, err := w.Write(text); err != nil {
-			return err
-		}
+	if len(inputs) > 1 {
+		return runParallel(inputs, c, *showStats)
 	}
 
-	if *submit {
-		if err := instrumentSubmitFiles(f, filepath.Dir(input)); err != nil {
-			return err
-		}
+	input := inputs[0]
+	sched, elapsed, err := c.prioritizeFile(input, w)
+	if err != nil {
+		return err
 	}
-
+	g := sched.Graph
 	if *dotOut != "" {
 		dot := g.DOT(filepath.Base(input), func(v int) string {
 			return fmt.Sprintf("label=\"%s\\np=%d\"", g.Name(v), sched.Priority[v])
@@ -132,14 +107,9 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 	}
-
 	if *showStats {
 		printStats(sched, elapsed)
-		if opts.Cache != nil {
-			cs := opts.Cache.Stats()
-			fmt.Fprintf(os.Stderr, "schedule cache: %d hits, %d misses (%.1f%% hit rate), %d distinct shapes\n",
-				cs.Hits, cs.Misses, 100*cs.HitRate(), cs.Entries)
-		}
+		printCacheStats(c.opts.Cache)
 	}
 	if *explain != "" {
 		for _, name := range strings.Split(*explain, ",") {
@@ -152,12 +122,8 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 	if *theoretical {
-		var dopts decompose.Options
-		if opts.Cache != nil {
-			// Share the Step 1 reduction already computed by the heuristic.
-			dopts.ReduceCache = opts.Cache.ReduceCache()
-		}
-		if _, err := core.TheoreticalScheduleOpts(g, dopts); err != nil {
+		// With -cache, share the Step 1 reduction already computed by the heuristic.
+		if _, err := core.TheoreticalScheduleOpts(g, decompose.Options{ReduceCache: c.opts.Cache.ReduceCache()}); err != nil {
 			fmt.Fprintf(os.Stderr, "theoretical algorithm: FAILS (%v); the heuristic schedule above is the graceful fallback\n", err)
 		} else {
 			fmt.Fprintln(os.Stderr, "theoretical algorithm: succeeds; the schedule is IC-optimal")
@@ -166,21 +132,65 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
+// config is what every input file is prioritized with.
+type config struct {
+	out             string
+	inplace, submit bool
+	opts            core.Options
+}
+
+// prioritizeFile runs the pipeline on one DAGMan file — parse, flatten
+// any splices, freeze the graph, prioritize, instrument — and writes
+// the instrumented text over the input with -inplace, to -o's path
+// when one is given, and to w otherwise. With -submit it also
+// instruments the referenced submit files. It returns the schedule and
+// the time prioritization took.
+func (c *config) prioritizeFile(input string, w io.Writer) (*core.Schedule, time.Duration, error) {
+	f, err := dagman.ParseFile(input)
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(f.Splices) > 0 {
+		// Spliced workflows are flattened first; the instrumented output
+		// is the flattened file, which is what DAGMan executes anyway.
+		f, err = f.Flatten(dagman.LoadSplice(filepath.Dir(input)))
+		if err != nil {
+			return nil, 0, err
+		}
+	}
+	g, err := f.Graph()
+	if err != nil {
+		return nil, 0, err
+	}
+	start := time.Now()
+	sched := core.PrioritizeOpts(g, c.opts)
+	elapsed := time.Since(start)
+
+	text := f.InstrumentIDs(sched.Priority)
+	switch {
+	case c.inplace:
+		err = os.WriteFile(input, text, 0o644)
+	case c.out != "":
+		err = os.WriteFile(c.out, text, 0o644)
+	default:
+		_, err = w.Write(text)
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	if c.submit {
+		if err := instrumentSubmitFiles(f, filepath.Dir(input)); err != nil {
+			return nil, 0, err
+		}
+	}
+	return sched, elapsed, nil
+}
+
 // runParallel prioritizes several DAGMan files concurrently, rewriting
 // each in place. With -cache one schedule cache (and its embedded
 // reduction cache) is shared by every file, so repeated component
 // shapes across a batch of workflows are scheduled once.
-func runParallel(inputs []string, submit, naive bool, parallel int, useCache, showStats bool) error {
-	opts := core.Options{Parallel: parallel}
-	if parallel <= 0 {
-		opts.Parallel = -1
-	}
-	if naive {
-		opts.Combine = core.CombineNaive
-	}
-	if useCache {
-		opts.Cache = core.NewCache()
-	}
+func runParallel(inputs []string, c *config, showStats bool) error {
 	var wg sync.WaitGroup
 	errs := make([]error, len(inputs))
 	sem := make(chan struct{}, runtime.NumCPU())
@@ -191,7 +201,7 @@ func runParallel(inputs []string, submit, naive bool, parallel int, useCache, sh
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if err := instrumentInPlace(input, submit, opts); err != nil {
+			if _, _, err := c.prioritizeFile(input, nil); err != nil {
 				errs[i] = fmt.Errorf("%s: %w", input, err)
 			}
 		}(i, input)
@@ -205,38 +215,7 @@ func runParallel(inputs []string, submit, naive bool, parallel int, useCache, sh
 	}
 	if showStats {
 		fmt.Fprintf(os.Stderr, "prioritized %d files in %v\n", len(inputs), time.Since(start).Round(time.Microsecond))
-		if opts.Cache != nil {
-			cs := opts.Cache.Stats()
-			fmt.Fprintf(os.Stderr, "schedule cache: %d hits, %d misses (%.1f%% hit rate), %d distinct shapes\n",
-				cs.Hits, cs.Misses, 100*cs.HitRate(), cs.Entries)
-		}
-	}
-	return nil
-}
-
-// instrumentInPlace runs the pipeline on one DAGMan file and rewrites
-// it (and optionally its submit files) in place.
-func instrumentInPlace(input string, submit bool, opts core.Options) error {
-	f, err := dagman.ParseFile(input)
-	if err != nil {
-		return err
-	}
-	if len(f.Splices) > 0 {
-		f, err = f.Flatten(dagman.LoadSplice(filepath.Dir(input)))
-		if err != nil {
-			return err
-		}
-	}
-	g, err := f.Graph()
-	if err != nil {
-		return err
-	}
-	sched := core.PrioritizeOpts(g, opts)
-	if err := os.WriteFile(input, f.InstrumentIDs(sched.Priority), 0o644); err != nil {
-		return err
-	}
-	if submit {
-		return instrumentSubmitFiles(f, filepath.Dir(input))
+		printCacheStats(c.opts.Cache)
 	}
 	return nil
 }
@@ -265,6 +244,17 @@ func instrumentSubmitFiles(f *dagman.File, dir string) error {
 		}
 	}
 	return nil
+}
+
+// printCacheStats reports the -cache counters; without -cache it prints
+// nothing.
+func printCacheStats(cache *core.Cache) {
+	if cache == nil {
+		return
+	}
+	cs := cache.Stats()
+	fmt.Fprintf(os.Stderr, "schedule cache: %d hits, %d misses (%.1f%% hit rate), %d distinct shapes\n",
+		cs.Hits, cs.Misses, 100*cs.HitRate(), cs.Entries)
 }
 
 func printStats(s *core.Schedule, elapsed time.Duration) {

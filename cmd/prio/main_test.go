@@ -114,20 +114,6 @@ func TestRunDotOutput(t *testing.T) {
 	}
 }
 
-func TestRunNaiveMatchesDefault(t *testing.T) {
-	_, dagPath := writeInput(t)
-	var a, b strings.Builder
-	if err := run([]string{dagPath}, &a); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-naive", dagPath}, &b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatal("naive and B-tree combine disagree")
-	}
-}
-
 func TestRunSplicedInput(t *testing.T) {
 	dir := t.TempDir()
 	inner := filepath.Join(dir, "inner.dag")
@@ -281,5 +267,54 @@ func TestRunMultipleFilesPartialFailure(t *testing.T) {
 	}
 	if !strings.Contains(string(text), `Vars c jobpriority="5"`) {
 		t.Errorf("good file not instrumented despite failures elsewhere:\n%s", text)
+	}
+}
+
+// TestRunRejectsFlagsItCannotHonour: a flag that names one file's
+// output must fail the run, naming the flag, rather than be dropped
+// silently, and the rejected run must write nothing.
+func TestRunRejectsFlagsItCannotHonour(t *testing.T) {
+	for _, c := range []struct {
+		name, flag string
+		args       []string // A and B stand for two input files, DOT and OUT for output paths
+	}{
+		{"inplace-o", "-o", []string{"-inplace", "-o", "OUT", "A"}},
+		{"multi-o", "-o", []string{"-inplace", "-o", "OUT", "A", "B"}},
+		{"multi-dot", "-dot", []string{"-inplace", "-dot", "DOT", "A", "B"}},
+		{"multi-explain", "-explain", []string{"-inplace", "-explain", "c", "A", "B"}},
+		{"multi-theoretical", "-theoretical", []string{"-inplace", "-theoretical", "A", "B"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir, a := writeInput(t)
+			paths := map[string]string{
+				"A": a, "B": filepath.Join(dir, "b.dag"),
+				"DOT": filepath.Join(dir, "x.dot"), "OUT": filepath.Join(dir, "out.dag"),
+			}
+			if err := os.WriteFile(paths["B"], []byte(fig3), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			args := make([]string, len(c.args))
+			for i, arg := range c.args {
+				if p, ok := paths[arg]; ok {
+					arg = p
+				}
+				args[i] = arg
+			}
+			var stdout strings.Builder
+			err := run(args, &stdout)
+			if err == nil || !strings.Contains(err.Error(), c.flag) {
+				t.Errorf("prio %v: error %v, want one naming %s", c.args, err, c.flag)
+			}
+			for _, k := range []string{"DOT", "OUT"} {
+				if _, err := os.Stat(paths[k]); !os.IsNotExist(err) {
+					t.Errorf("prio %v wrote %s", c.args, k)
+				}
+			}
+			for _, k := range []string{"A", "B"} {
+				if text, _ := os.ReadFile(paths[k]); string(text) != fig3 {
+					t.Errorf("prio %v rewrote %s", c.args, k)
+				}
+			}
+		})
 	}
 }

@@ -6,7 +6,9 @@
 //
 // The library lives under internal/ (see DESIGN.md for the module map);
 // the runnable entry points are cmd/prio, cmd/simgrid, cmd/eligdiff,
-// cmd/overhead, and the programs under examples/. The benchmarks in
-// bench_test.go regenerate every table and figure of the paper's
-// evaluation; EXPERIMENTS.md records paper-versus-measured results.
+// and the programs under examples/. The benchmarks in bench_test.go
+// regenerate the paper's figures and the Section 3.6 overhead table;
+// the Section 3.5 ablations sit next to their test-only oracles in
+// internal/decompose and internal/core. EXPERIMENTS.md records
+// paper-versus-measured results.
 package repro

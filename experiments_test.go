@@ -2,9 +2,11 @@ package repro
 
 import (
 	"bufio"
+	"math"
 	"os"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -124,6 +126,167 @@ func TestLowMuBITClaims(t *testing.T) {
 	for _, bs := range []int{1, 4, 16, 64} {
 		if got := sdss[gridKey{"0.01", bs}].stall; got.med < 0.79 || got.med > 0.89 || got.hi >= 1 {
 			t.Errorf("sdss mu_BIT=0.01 mu_BS=%d: stall %+v, the doc says 0.80–0.88 with the CI below 1", bs, got)
+		}
+	}
+}
+
+// benchRows parses a checked-in `go test -bench` output: each row's
+// name (without the -GOMAXPROCS suffix) maps to its metrics by unit
+// (ns/op, B/op, allocs/op, components, ...).
+func benchRows(t *testing.T, path string) map[string]map[string]float64 {
+	t.Helper()
+	text, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make(map[string]map[string]float64)
+	for _, line := range strings.Split(string(text), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") || len(f)%2 != 0 {
+			continue
+		}
+		name := f[0]
+		if i := strings.LastIndexByte(name, '-'); i > 0 {
+			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+				name = name[:i]
+			}
+		}
+		m := make(map[string]float64)
+		for i := 2; i < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				t.Fatalf("%s: %q: %v", path, line, err)
+			}
+			m[f[i+1]] = v
+		}
+		rows[strings.TrimPrefix(name, "Benchmark")] = m
+	}
+	return rows
+}
+
+// tableRows returns the cells of every markdown table row in the
+// section of doc headed by heading, keyed by the row's first cell.
+func tableRows(t *testing.T, doc, heading string) map[string][]string {
+	t.Helper()
+	i := strings.Index(doc, "\n"+heading+"\n")
+	if i < 0 {
+		t.Fatalf("no section %q", heading)
+	}
+	sec := doc[i+len(heading)+2:]
+	if j := strings.Index(sec, "\n## "); j >= 0 {
+		sec = sec[:j]
+	}
+	rows := make(map[string][]string)
+	for _, line := range strings.Split(sec, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		for k := range cells {
+			cells[k] = strings.TrimSpace(cells[k])
+		}
+		rows[cells[0]] = cells
+	}
+	return rows
+}
+
+// sig3 prints x with three significant digits (two decimals below 10,
+// one below 100, none above).
+func sig3(x float64) string {
+	switch {
+	case x < 10:
+		return strconv.FormatFloat(x, 'f', 2, 64)
+	case x < 100:
+		return strconv.FormatFloat(x, 'f', 1, 64)
+	}
+	return strconv.FormatFloat(x, 'f', 0, 64)
+}
+
+func fmtNs(ns float64) string {
+	switch {
+	case ns >= 1e9:
+		return sig3(ns/1e9) + " s"
+	case ns >= 1e6:
+		return sig3(ns/1e6) + " ms"
+	}
+	return sig3(ns/1e3) + " µs"
+}
+
+func fmtBytes(b float64) string {
+	if b >= 1<<20 {
+		return sig3(b/(1<<20)) + " MB"
+	}
+	return sig3(b/(1<<10)) + " KB"
+}
+
+// fmtCount prints a count with thousands separators: 24009 → "24,009".
+func fmtCount(x float64) string {
+	s := strconv.FormatInt(int64(math.Round(x)), 10)
+	for i := len(s) - 3; i > 0; i -= 3 {
+		s = s[:i] + "," + s[i:]
+	}
+	return s
+}
+
+// fmtSpeedup prints a ratio to two significant figures: 2118 → "~2,100×".
+func fmtSpeedup(r float64) string {
+	p := math.Pow(10, math.Floor(math.Log10(r))-1)
+	return "~" + fmtCount(math.Round(r/p)*p) + "×"
+}
+
+// TestOverheadAndAblationTables holds EXPERIMENTS.md's Section 3.5 and
+// 3.6 tables, and README's summary rows, to the benchmark outputs they
+// quote: results/ablations.txt (make bench) and results/overhead.txt
+// (make sweeps). Regenerating either file without the docs, or editing
+// a cell by hand, fails here.
+func TestOverheadAndAblationTables(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	glance := tableRows(t, string(readme), "## Results at a glance")
+	check := func(what, got, want string) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s reads %q, but the benchmark output gives %q", what, got, want)
+		}
+	}
+
+	overhead := benchRows(t, "results/overhead.txt")
+	s36 := tableRows(t, string(exp), "## Section 3.6 — scheduling overhead")
+	for _, d := range []struct{ row, bench string }{
+		{"AIRSN", "airsn"}, {"Inspiral", "inspiral"}, {"Montage", "montage"}, {"SDSS", "sdss"},
+	} {
+		m, cells := overhead["Overhead/"+d.bench], s36[d.row]
+		if m == nil || len(cells) != 5 {
+			t.Fatalf("Section 3.6 %s: benchmark row %v, table row %q", d.row, m, cells)
+		}
+		check("Section 3.6 "+d.row+" components", cells[2], fmtCount(m["components"]))
+		check("Section 3.6 "+d.row+" measured", cells[4], fmtNs(m["ns/op"])+" / "+fmtBytes(m["B/op"]))
+	}
+
+	ablations := benchRows(t, "results/ablations.txt")
+	s35 := tableRows(t, string(exp), "## Section 3.5 — algorithm engineering")
+	for _, a := range []struct{ row, with, without, readme string }{
+		{"bipartite fast path in the decomposition", "AblationFastPath/on", "AblationFastPath/off", "S 3.5 fast-path speedup"},
+		{"B-tree priority queue in the Combine phase", "AblationCombine/btree", "AblationCombine/naive", "S 3.5 B-tree Combine speedup"},
+	} {
+		with, without, cells := ablations[a.with], ablations[a.without], s35[a.row]
+		if with == nil || without == nil || len(cells) != 6 {
+			t.Fatalf("Section 3.5 %s: benchmark rows %v %v, table row %q", a.row, with, without, cells)
+		}
+		speedup := fmtSpeedup(without["ns/op"] / with["ns/op"])
+		check("Section 3.5 "+a.row+" with", cells[3], fmtNs(with["ns/op"]))
+		check("Section 3.5 "+a.row+" without", cells[4], fmtNs(without["ns/op"]))
+		check("Section 3.5 "+a.row+" speed-up", cells[5], "**"+speedup+"**")
+		if r := glance[a.readme]; len(r) != 3 {
+			t.Errorf("README has no %q row", a.readme)
+		} else {
+			check("README "+a.readme, r[2], speedup)
 		}
 	}
 }

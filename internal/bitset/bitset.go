@@ -69,36 +69,6 @@ func (s *Set) Count() int {
 	return c
 }
 
-// Empty reports whether the set has no elements.
-func (s *Set) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Clear removes all elements, keeping capacity.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
-// Clone returns an independent copy of the set.
-func (s *Set) Clone() *Set {
-	c := &Set{words: make([]uint64, len(s.words)), n: s.n}
-	copy(c.words, s.words)
-	return c
-}
-
-// CopyFrom makes s an exact copy of o. The two sets must have equal capacity.
-func (s *Set) CopyFrom(o *Set) {
-	s.mustMatch(o)
-	copy(s.words, o.words)
-}
-
 func (s *Set) mustMatch(o *Set) {
 	if s.n != o.n {
 		panic(fmt.Sprintf("bitset: capacity mismatch %d vs %d", s.n, o.n))
@@ -113,57 +83,6 @@ func (s *Set) UnionWith(o *Set) {
 	}
 }
 
-// IntersectWith removes from s every element not in o (s &= o).
-func (s *Set) IntersectWith(o *Set) {
-	s.mustMatch(o)
-	for i, w := range o.words {
-		s.words[i] &= w
-	}
-}
-
-// DifferenceWith removes every element of o from s (s &^= o).
-func (s *Set) DifferenceWith(o *Set) {
-	s.mustMatch(o)
-	for i, w := range o.words {
-		s.words[i] &^= w
-	}
-}
-
-// Intersects reports whether s and o share at least one element.
-func (s *Set) Intersects(o *Set) bool {
-	s.mustMatch(o)
-	for i, w := range o.words {
-		if s.words[i]&w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// SubsetOf reports whether every element of s is in o.
-func (s *Set) SubsetOf(o *Set) bool {
-	s.mustMatch(o)
-	for i, w := range s.words {
-		if w&^o.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Equal reports whether s and o contain exactly the same elements.
-func (s *Set) Equal(o *Set) bool {
-	if s.n != o.n {
-		return false
-	}
-	for i, w := range s.words {
-		if w != o.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ForEach calls f for every element of the set in increasing order. If f
 // returns false, iteration stops early.
 func (s *Set) ForEach(f func(i int) bool) {
@@ -176,16 +95,6 @@ func (s *Set) ForEach(f func(i int) bool) {
 			w &= w - 1
 		}
 	}
-}
-
-// Elements returns the elements in increasing order.
-func (s *Set) Elements() []int {
-	out := make([]int, 0, s.Count())
-	s.ForEach(func(i int) bool {
-		out = append(out, i)
-		return true
-	})
-	return out
 }
 
 // Next returns the smallest element >= i, or -1 if there is none.

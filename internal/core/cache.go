@@ -76,8 +76,13 @@ func (c *Cache) Stats() CacheStats {
 
 // ReduceCache returns the embedded transitive-reduction cache, for
 // callers that also run pipeline stages outside PrioritizeOpts (e.g.
-// prio -theoretical).
-func (c *Cache) ReduceCache() *dag.ReduceCache { return c.reduce }
+// prio -theoretical). A nil Cache has none and returns nil.
+func (c *Cache) ReduceCache() *dag.ReduceCache {
+	if c == nil {
+		return nil
+	}
+	return c.reduce
+}
 
 // lookup returns the cached schedule template for a component subgraph.
 func (c *Cache) lookup(sub *dag.Frozen) (*cacheEntry, bool) {

@@ -2,87 +2,11 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/bitset"
 	"repro/internal/btree"
 	"repro/internal/dag"
 )
-
-// CombineStrategy selects the implementation of the Combine phase's
-// greedy superdag consumption (Step 6).
-type CombineStrategy int
-
-const (
-	// CombineBTree is the engineered implementation of Section 3.5:
-	// sources are grouped by interned eligibility profile and ranked in
-	// a B-tree priority queue keyed by minimum pairwise priority, so
-	// each round costs O(log) except when the set of distinct profiles
-	// changes.
-	CombineBTree CombineStrategy = iota
-	// CombineNaive recomputes every source's minimum pairwise priority
-	// from scratch each round, as the paper's first implementation did
-	// (quadratic per round). Kept for the ablation benchmarks.
-	CombineNaive
-)
-
-// combineOrder returns the order in which the superdag's components are
-// consumed: repeatedly pick, among the current sources of the superdag,
-// a component Ci maximizing pi = min over the other current sources Cj
-// of (priority of Ci over Cj). Ties break toward the smallest component
-// index. pids maps each component to its interned eligibility profile.
-func combineOrder(super *dag.Frozen, pids []int, pt *profileTable, strategy CombineStrategy) []int {
-	switch strategy {
-	case CombineNaive:
-		return combineNaive(super, pids, pt)
-	default:
-		return combineBTree(super, pids, pt)
-	}
-}
-
-func combineNaive(super *dag.Frozen, pids []int, pt *profileTable) []int {
-	n := super.NumNodes()
-	indeg := make([]int, n)
-	var sources []int
-	for v := 0; v < n; v++ {
-		indeg[v] = super.InDegree(v)
-		if indeg[v] == 0 {
-			sources = append(sources, v)
-		}
-	}
-	order := make([]int, 0, n)
-	for len(sources) > 0 {
-		best, bestP := -1, math.Inf(-1)
-		for _, i := range sources {
-			pi := math.Inf(1)
-			for _, j := range sources {
-				if j == i {
-					continue
-				}
-				if r := pt.r(pids[i], pids[j]); r < pi {
-					pi = r
-				}
-			}
-			if pi > bestP { // strict: first maximum wins = smallest index
-				best, bestP = i, pi
-			}
-		}
-		order = append(order, best)
-		// remove best, keeping sources sorted
-		k := sort.SearchInts(sources, best)
-		sources = append(sources[:k], sources[k+1:]...)
-		for _, c := range super.Children(best) {
-			indeg[c]--
-			if indeg[c] == 0 {
-				k := sort.SearchInts(sources, int(c))
-				sources = append(sources, 0)
-				copy(sources[k+1:], sources[k:len(sources)-1])
-				sources[k] = int(c)
-			}
-		}
-	}
-	return order
-}
 
 // groupKey orders profile groups in the B-tree: ascending by minimum
 // pairwise priority, and among equal priorities the maximum element is
@@ -112,7 +36,19 @@ type profileGroup struct {
 	key   groupKey
 }
 
-func combineBTree(super *dag.Frozen, pids []int, pt *profileTable) []int {
+// combineOrder returns the order in which the superdag's components are
+// consumed: repeatedly pick, among the current sources of the superdag,
+// a component Ci maximizing pi = min over the other current sources Cj
+// of (priority of Ci over Cj). Ties break toward the smallest component
+// index. pids maps each component to its interned eligibility profile.
+//
+// This is the engineered implementation of Section 3.5: sources are
+// grouped by interned eligibility profile and ranked in a B-tree
+// priority queue keyed by minimum pairwise priority, so each round
+// costs O(log) except when the set of distinct profiles changes. The
+// quadratic design it replaced is kept as combineNaive in
+// combine_oracle_test.go, the oracle it is tested against.
+func combineOrder(super *dag.Frozen, pids []int, pt *profileTable) []int {
 	n := super.NumNodes()
 	indeg := make([]int, n)
 	// Profile ids are small dense integers, so the live groups are a

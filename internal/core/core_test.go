@@ -236,24 +236,6 @@ func TestPrioritizeValidOnRandomDags(t *testing.T) {
 	}
 }
 
-func TestNaiveAndBTreeCombineAgree(t *testing.T) {
-	r := rng.New(23)
-	for trial := 0; trial < 30; trial++ {
-		g := randomDag(r, 2+r.Intn(40), 0.12)
-		a := PrioritizeOpts(g, Options{Combine: CombineBTree})
-		b := PrioritizeOpts(g, Options{Combine: CombineNaive})
-		if len(a.Order) != len(b.Order) {
-			t.Fatalf("trial %d: lengths differ", trial)
-		}
-		for i := range a.Order {
-			if a.Order[i] != b.Order[i] {
-				t.Fatalf("trial %d: orders diverge at %d:\nbtree: %v\nnaive: %v",
-					trial, i, orderNames(g, a.Order), orderNames(g, b.Order))
-			}
-		}
-	}
-}
-
 func TestPrioritizeNeverWorseThanFIFOOnBlocks(t *testing.T) {
 	// On recognized building blocks PRIO's trace dominates FIFO's.
 	for name, g := range map[string]*dag.Frozen{

@@ -18,8 +18,11 @@
 //     picking a source component whose minimum r-priority over the
 //     other current sources is largest (Steps 4-6). Profiles are
 //     interned in a profileTable whose pairwise-priority matrix is
-//     dense and bitset-backed; CombineBTree is the engineered
-//     Section 3.5 implementation, CombineNaive the quadratic ablation.
+//     dense and bitset-backed, and the current sources are ranked in
+//     the B-tree priority queue of Section 3.5. The quadratic design it
+//     replaced survives only as a test oracle (combineNaive in
+//     combine_oracle_test.go), which BenchmarkAblationCombine times
+//     against it.
 //
 // The final Schedule lists per-component orders in Combine order
 // followed by every dag sink, with Priority[v] = NumNodes - Rank[v]
@@ -32,6 +35,8 @@
 //
 // # Parallelism and memoization
 //
+// Options has exactly two fields, Parallel and Cache, and neither
+// changes a schedule bit.
 // The Recurse phase is embarrassingly parallel across components, and
 // Options.Parallel > 1 fans it — together with the pairwise r-priority
 // matrix fill — out over a bounded worker pool. Results are merged in

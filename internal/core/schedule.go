@@ -7,12 +7,10 @@ import (
 	"repro/internal/decompose"
 )
 
-// Options tunes the prioritization pipeline; the zero value is the
-// production configuration (bipartite fast path + B-tree combine,
-// sequential Recurse, no memoization).
+// Options tunes the prioritization pipeline; the zero value runs the
+// Recurse phase sequentially without memoization. Neither field
+// changes a schedule bit.
 type Options struct {
-	Combine   CombineStrategy
-	Decompose decompose.Options
 	// Parallel sets the Recurse-phase worker count: 0 or 1 runs the
 	// sequential reference path (so the zero Options value stays the
 	// reference configuration), values above 1 fan the per-component
@@ -84,11 +82,7 @@ func Prioritize(g *dag.Frozen) *Schedule { return PrioritizeOpts(g, Options{}) }
 //
 //prio:pure
 func PrioritizeOpts(g *dag.Frozen, opts Options) *Schedule {
-	dopts := opts.Decompose
-	if opts.Cache != nil && dopts.ReduceCache == nil {
-		dopts.ReduceCache = opts.Cache.ReduceCache()
-	}
-	dec := decompose.DecomposeOpts(g, dopts)
+	dec := decompose.DecomposeOpts(g, decompose.Options{ReduceCache: opts.Cache.ReduceCache()})
 
 	// Recurse: per-component schedules, fanned out when requested.
 	comps := scheduleComponents(dec.Components, opts.workers(), opts.Cache)
@@ -112,7 +106,7 @@ func PrioritizeOpts(g *dag.Frozen, opts Options) *Schedule {
 		pt.precomputeAll(w)
 	}
 
-	compOrder := combineOrder(dec.Super, pids, pt, opts.Combine)
+	compOrder := combineOrder(dec.Super, pids, pt)
 
 	n := g.NumNodes()
 	order := make([]int, 0, n)

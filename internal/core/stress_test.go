@@ -8,32 +8,6 @@ import (
 	"repro/internal/workloads"
 )
 
-// TestCombineAgreementAtScale: the engineered B-tree Combine and the
-// naive one must produce identical schedules on a dag with over a
-// thousand components (Inspiral's superdag is the stress case the
-// random-dag agreement test cannot reach).
-func TestCombineAgreementAtScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scale test")
-	}
-	ins := workloads.Inspiral(60) // ~790 jobs, ~370 components
-	a := PrioritizeOpts(ins, Options{Combine: CombineBTree})
-	b := PrioritizeOpts(ins, Options{Combine: CombineNaive})
-	for i := range a.Order {
-		if a.Order[i] != b.Order[i] {
-			t.Fatalf("schedules diverge at %d", i)
-		}
-	}
-	sd := workloads.SDSS(400, 5)
-	a = PrioritizeOpts(sd, Options{Combine: CombineBTree})
-	b = PrioritizeOpts(sd, Options{Combine: CombineNaive})
-	for i := range a.Order {
-		if a.Order[i] != b.Order[i] {
-			t.Fatalf("SDSS schedules diverge at %d", i)
-		}
-	}
-}
-
 // TestPrioritizeSoak hammers the full pipeline with a few hundred random
 // dags of assorted shapes, asserting schedule validity and priority
 // bijectivity every time.

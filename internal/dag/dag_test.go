@@ -345,32 +345,6 @@ func TestDOTOutput(t *testing.T) {
 	}
 }
 
-func TestComputeStats(t *testing.T) {
-	g := buildNamed(t, []string{"a", "b", "c", "d", "e"},
-		"a>b", "a>c", "b>d", "c>d")
-	s := g.ComputeStats()
-	if s.Nodes != 5 || s.Arcs != 4 || s.Sources != 2 || s.Sinks != 2 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if s.CriticalPath != 3 || s.MaxOutDegree != 2 || s.MaxInDegree != 2 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if s.UndirectedComponents != 2 {
-		t.Fatalf("components = %d", s.UndirectedComponents)
-	}
-	if !strings.Contains(s.String(), "nodes=5") {
-		t.Fatal("Stats.String missing fields")
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := buildNamed(t, []string{"a", "b", "c"}, "a>b", "a>c")
-	h := g.DegreeHistogram()
-	if len(h) != 3 || h[0] != 2 || h[2] != 1 {
-		t.Fatalf("histogram = %v", h)
-	}
-}
-
 func TestSortedNames(t *testing.T) {
 	g := buildNamed(t, []string{"z", "a", "m"})
 	got := g.SortedNames()

@@ -32,62 +32,6 @@ func (f *Frozen) DOT(name string, nodeAttrs func(v int) string) string {
 	return b.String()
 }
 
-// Stats summarizes a graph's structure; used by cmd/overhead and the
-// workload self-checks.
-type Stats struct {
-	Nodes, Arcs          int
-	Sources, Sinks       int
-	CriticalPath         int // nodes on a longest path
-	MaxLevelWidth        int
-	MaxOutDegree         int
-	MaxInDegree          int
-	UndirectedComponents int
-}
-
-// ComputeStats returns structural statistics for the graph.
-func (f *Frozen) ComputeStats() Stats {
-	s := Stats{
-		Nodes:   f.NumNodes(),
-		Arcs:    f.NumArcs(),
-		Sources: len(f.Sources()),
-		Sinks:   len(f.Sinks()),
-	}
-	if s.Nodes > 0 {
-		s.CriticalPath = f.CriticalPathLength()
-		s.MaxLevelWidth = f.MaxLevelWidth()
-		_, s.UndirectedComponents = f.UndirectedComponents()
-	}
-	for v := 0; v < f.NumNodes(); v++ {
-		if d := f.OutDegree(v); d > s.MaxOutDegree {
-			s.MaxOutDegree = d
-		}
-		if d := f.InDegree(v); d > s.MaxInDegree {
-			s.MaxInDegree = d
-		}
-	}
-	return s
-}
-
-func (s Stats) String() string {
-	return fmt.Sprintf("nodes=%d arcs=%d sources=%d sinks=%d critpath=%d width=%d maxout=%d maxin=%d components=%d",
-		s.Nodes, s.Arcs, s.Sources, s.Sinks, s.CriticalPath, s.MaxLevelWidth, s.MaxOutDegree, s.MaxInDegree, s.UndirectedComponents)
-}
-
-// DegreeHistogram returns counts of out-degrees (index = degree).
-func (f *Frozen) DegreeHistogram() []int {
-	max := 0
-	for v := 0; v < f.NumNodes(); v++ {
-		if d := f.OutDegree(v); d > max {
-			max = d
-		}
-	}
-	h := make([]int, max+1)
-	for v := 0; v < f.NumNodes(); v++ {
-		h[f.OutDegree(v)]++
-	}
-	return h
-}
-
 // SortedNames returns the node names in lexicographic order (handy for
 // deterministic test assertions).
 func (f *Frozen) SortedNames() []string {

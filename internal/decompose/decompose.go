@@ -54,13 +54,8 @@ type Result struct {
 	ScheduledIn []int
 }
 
-// Options tunes the decomposition; the zero value is the production
-// configuration.
+// Options tunes the decomposition; no field changes the result.
 type Options struct {
-	// DisableFastPath forces the general containment-minimal search for
-	// every component, as the pre-Section-3.5 implementation did. Used
-	// by the ablation benchmarks.
-	DisableFastPath bool
 	// ReduceCache, when non-nil, memoizes the Step 1 transitive
 	// reduction by graph fingerprint, so repeated pipeline stages over
 	// the same dag (prio + theoretical, or several simulator policies)
@@ -78,6 +73,14 @@ func Decompose(g *dag.Frozen) *Result { return DecomposeOpts(g, Options{}) }
 //
 //prio:pure
 func DecomposeOpts(g *dag.Frozen, opts Options) *Result {
+	return newDecomposer(g, opts, true).run()
+}
+
+// newDecomposer reduces g (Step 1) and readies the peeling loop over
+// the reduced dag. fastPath false forces the general containment-minimal
+// search for every component, the pre-Section-3.5 design that the tests
+// and BenchmarkAblationFastPath keep as the oracle for the fast path.
+func newDecomposer(g *dag.Frozen, opts Options, fastPath bool) *decomposer {
 	reduced, shortcuts := g.TransitiveReductionCached(opts.ReduceCache)
 	d := &decomposer{
 		g:        reduced,
@@ -94,7 +97,7 @@ func DecomposeOpts(g *dag.Frozen, opts Options) *Result {
 			Shortcuts:   shortcuts,
 			ScheduledIn: make([]int, reduced.NumNodes()),
 		},
-		fastPath: !opts.DisableFastPath,
+		fastPath: fastPath,
 	}
 	for v := 0; v < reduced.NumNodes(); v++ {
 		d.alive[v] = true
@@ -105,8 +108,7 @@ func DecomposeOpts(g *dag.Frozen, opts Options) *Result {
 		d.result.ScheduledIn[v] = -1
 	}
 	d.aliveCount = reduced.NumNodes()
-	d.run()
-	return d.result
+	return d
 }
 
 type decomposer struct {
@@ -130,7 +132,9 @@ type decomposer struct {
 	result             *Result
 }
 
-func (d *decomposer) run() {
+// run peels the remnant into components (Step 2) and builds the
+// superdag.
+func (d *decomposer) run() *Result {
 	for d.aliveCount > 0 {
 		sources := d.currentSources()
 		if len(sources) == 0 {
@@ -153,6 +157,7 @@ func (d *decomposer) run() {
 		panic(err) // unreachable: every arc runs from an earlier component to a later one
 	}
 	d.result.Super = super
+	return d.result
 }
 
 func (d *decomposer) addSuperArc(from, to int) {

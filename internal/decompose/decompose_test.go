@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/rng"
+	"repro/internal/workloads"
 )
 
 func build(t testing.TB, nodes []string, arcs ...string) *dag.Frozen {
@@ -242,24 +243,31 @@ func TestSuperdagInteriorNonSinkDependency(t *testing.T) {
 	}
 }
 
+// TestFastPathMatchesGeneralPath: the Section 3.5 bipartite fast path
+// and the general containment-minimal search it short-cuts must detach
+// the same components (as node sets), on random layered dags and on the
+// four paper dags at scales where the general path runs in about a
+// second in total.
 func TestFastPathMatchesGeneralPath(t *testing.T) {
+	gs := make(map[string]*dag.Frozen)
 	r := rng.New(31)
 	for trial := 0; trial < 25; trial++ {
-		g := randomLayered(r, 3+r.Intn(4), 1+r.Intn(5), 0.4)
+		gs[fmt.Sprintf("trial %d", trial)] = randomLayered(r, 3+r.Intn(4), 1+r.Intn(5), 0.4)
+	}
+	for name, scale := range map[string]int{"airsn": 1, "inspiral": 2, "montage": 10, "sdss": 100} {
+		g, err := workloads.ByName(name, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs[fmt.Sprintf("%s/%d", name, scale)] = g
+	}
+	for name, g := range gs {
 		fast := Decompose(g)
-		slow := DecomposeOpts(g, Options{DisableFastPath: true})
+		slow := newDecomposer(g, Options{}, false).run()
 		checkInvariants(t, g, fast)
 		checkInvariants(t, g, slow)
-		if len(fast.Components) != len(slow.Components) {
-			t.Fatalf("trial %d: fast %d components, slow %d", trial, len(fast.Components), len(slow.Components))
-		}
-		// Node sets must match as multisets of sorted node lists.
-		fs := componentSignatures(fast)
-		ss := componentSignatures(slow)
-		for i := range fs {
-			if fs[i] != ss[i] {
-				t.Fatalf("trial %d: component sets differ:\nfast: %v\nslow: %v", trial, fs, ss)
-			}
+		if fs, ss := componentSignatures(fast), componentSignatures(slow); fmt.Sprint(fs) != fmt.Sprint(ss) {
+			t.Fatalf("%s: fast path detaches %d components, general path %d, and the node sets differ", name, len(fs), len(ss))
 		}
 	}
 }
@@ -368,5 +376,34 @@ func BenchmarkDecomposeLayered(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Decompose(g)
+	}
+}
+
+// BenchmarkAblationFastPath is the Section 3.5 decomposition exhibit:
+// the bipartite fast path turned SDSS decomposition from days into
+// minutes. The general path is timed on SDSS/40 so the comparison
+// completes. It fails if the two detach different components.
+func BenchmarkAblationFastPath(b *testing.B) {
+	g, err := workloads.ByName("sdss", 40)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sigs := make(map[string]string)
+	for _, tc := range []struct {
+		name string
+		fast bool
+	}{{"on", true}, {"off", false}} {
+		b.Run(tc.name, func(b *testing.B) {
+			var r *Result
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r = newDecomposer(g, Options{}, tc.fast).run()
+			}
+			b.StopTimer()
+			sigs[tc.name] = fmt.Sprint(componentSignatures(r))
+		})
+	}
+	if on, off := sigs["on"], sigs["off"]; on != "" && off != "" && on != off {
+		b.Fatal("fast and general decomposition detach different components on SDSS/40")
 	}
 }

@@ -12,9 +12,12 @@
 // (for these, containment-minimality is automatic), and a general path
 // that computes the full closure C(s) for each source and detaches one
 // containment-minimal component per round. The fast path alone reduced
-// the paper's SDSS decomposition from days to minutes;
-// Options.DisableFastPath forces the general path for the ablation
-// benchmarks.
+// the paper's SDSS decomposition from days to minutes. Production
+// always tries the fast path first and falls back to the general path
+// in rounds where no bipartite block exists; only the tests force the
+// general path for every round (through the unexported
+// newDecomposer), to check that both detach the same components and to
+// time the Section 3.5 ablation in BenchmarkAblationFastPath.
 //
 // Component subgraphs are assembled directly in the dag core's CSR
 // form (dag.FromCSR) with names shared with the reduced dag, and the

@@ -64,25 +64,25 @@ func TestSuperMatchesBuilder(t *testing.T) {
 		gs[fmt.Sprintf("tilefield-%d", i)] = workloads.TileField(r.Split(), 4+i, 2, 3, 2, i%2 == 0)
 	}
 	for name, g := range gs {
-		for _, opts := range []Options{{}, {DisableFastPath: true}} {
-			if opts.DisableFastPath && g.NumNodes() > 200 {
+		for _, fast := range []bool{true, false} {
+			if !fast && g.NumNodes() > 200 {
 				continue // the general search alone is slow on the paper dags
 			}
-			res := DecomposeOpts(g, opts)
+			res := newDecomposer(g, Options{}, fast).run()
 			want := builderSuper(res)
 			got := res.Super
 			if got.NumNodes() != want.NumNodes() || got.NumArcs() != want.NumArcs() {
-				t.Fatalf("%s %+v: %d nodes %d arcs, want %d and %d", name, opts, got.NumNodes(), got.NumArcs(), want.NumNodes(), want.NumArcs())
+				t.Fatalf("%s fastPath=%v: %d nodes %d arcs, want %d and %d", name, fast, got.NumNodes(), got.NumArcs(), want.NumNodes(), want.NumArcs())
 			}
 			same := func(a, b []int32) bool { return fmt.Sprint(a) == fmt.Sprint(b) }
 			for v := 0; v < got.NumNodes(); v++ {
 				if !same(got.Children(v), want.Children(v)) || !same(got.Parents(v), want.Parents(v)) {
-					t.Fatalf("%s %+v: component %d has children %v parents %v, want %v and %v", name, opts, v,
+					t.Fatalf("%s fastPath=%v: component %d has children %v parents %v, want %v and %v", name, fast, v,
 						got.Children(v), got.Parents(v), want.Children(v), want.Parents(v))
 				}
 			}
 			if !same(got.Topo(), want.Topo()) {
-				t.Fatalf("%s %+v: superdag topo order differs", name, opts)
+				t.Fatalf("%s fastPath=%v: superdag topo order differs", name, fast)
 			}
 		}
 	}

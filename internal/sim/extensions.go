@@ -99,12 +99,6 @@ func NewTwoLevel(order []int, maxJobs int) *TwoLevel {
 	}
 }
 
-// NewTwoLevelPRIO builds the two-queue policy around the prio schedule
-// of g.
-func NewTwoLevelPRIO(g *dag.Frozen, maxJobs int) *TwoLevel {
-	return NewTwoLevel(core.Prioritize(g).Order, maxJobs)
-}
-
 // Name implements Policy.
 func (t *TwoLevel) Name() string { return t.name }
 

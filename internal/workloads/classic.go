@@ -132,13 +132,6 @@ func Pyramid(height int) *dag.Frozen {
 	return g.MustFreeze()
 }
 
-// Wavefront builds the n x n anti-diagonal wavefront (dynamic
-// programming) dag: node (i,j) depends on (i-1,j) and (i,j-1) — the
-// reverse orientation of Mesh, with the single source at (0,0) and the
-// single sink at (n-1,n-1). Provided separately because stencil
-// workloads name it this way; structurally it equals Mesh.
-func Wavefront(n int) *dag.Frozen { return Mesh(n) }
-
 // ClassicNames lists the repertoire generators for harness loops.
 func ClassicNames() []string {
 	return []string{"mesh", "reduction", "expansion", "butterfly", "pyramid"}
