@@ -25,20 +25,41 @@ type Classification struct {
 // belongs to no recognized family (Step 3 then falls back to the
 // outdegree heuristic).
 func Classify(g *dag.Frozen) (Classification, bool) {
-	if !g.IsBipartiteDag() {
-		return Classification{}, false
-	}
-	if _, n := g.UndirectedComponents(); n != 1 {
+	var sc Scratch
+	return sc.Classify(g, nil)
+}
+
+// Scratch is Classify's reusable working storage. The Recurse phase
+// classifies tens of thousands of small components per dag, and one
+// Scratch per worker keeps that from allocating per component. The
+// zero value is ready to use; a Scratch must not be shared between
+// goroutines.
+type Scratch struct {
+	sinks  []int32
+	stack  []int32
+	marks  []bool
+	links  [][2]int32 // links[u][:min(nlinks[u], 2)]: sources sharing a sink with u
+	nlinks []int32
+	path   []int // classifyM: the reversal's W order
+	ps     []int // classifyM: one sink's parents
+}
+
+// Classify is the package-level Classify on sc's storage. The source
+// order is appended to order[:0], so SourceOrder shares order's backing
+// array when it has the room.
+func (sc *Scratch) Classify(g *dag.Frozen, order []int) (Classification, bool) {
+	if !g.IsBipartiteDag() || !sc.connected(g) {
 		return Classification{}, false
 	}
 	sources := g.Sources()
-	sinks := g.Sinks()
+	sc.sinks = appendSinks(sc.sinks[:0], g)
+	sinks := sc.sinks
 	nU, nV := len(sources), len(sinks)
 
 	// Complete bipartite dag. This also catches the degenerate stars
 	// K(1,t) and K(t,1), which Fig. 2 labels (1,t)-W and (1,t)-M.
 	if g.NumArcs() == nU*nV {
-		c := Classification{Family: CliqueDag, S: nU, T: nV, SourceOrder: toInts(sources)}
+		c := Classification{Family: CliqueDag, S: nU, T: nV, SourceOrder: appendInts(order[:0], sources)}
 		if nU == 1 {
 			c.Family, c.S, c.T = WDag, 1, nV
 		} else if nV == 1 {
@@ -47,26 +68,78 @@ func Classify(g *dag.Frozen) (Classification, bool) {
 		return c, true
 	}
 
-	if c, ok := classifyW(g, sources, sinks); ok {
+	if c, ok := sc.classifyW(g, sources, sinks, order); ok {
 		return c, true
 	}
-	if c, ok := classifyM(g, sources, sinks); ok {
+	if c, ok := sc.classifyM(g, sources, sinks, order); ok {
 		return c, true
 	}
-	if c, ok := classifyN(g, sources, sinks); ok {
+	if c, ok := sc.classifyN(g, sources, sinks, order); ok {
 		return c, true
 	}
-	if c, ok := classifyCycle(g, sources, sinks); ok {
+	if c, ok := sc.classifyCycle(g, sources, sinks, order); ok {
 		return c, true
 	}
 	return Classification{}, false
+}
+
+// connected reports whether g (with at least one node) is connected
+// when arc directions are ignored.
+func (sc *Scratch) connected(g *dag.Frozen) bool {
+	seen := sc.clearedMarks(g.NumNodes())
+	stack := append(sc.stack[:0], 0)
+	seen[0] = true
+	reached := 1
+	for len(stack) > 0 {
+		u := int(stack[len(stack)-1])
+		stack = stack[:len(stack)-1]
+		for _, nbrs := range [2][]int32{g.Children(u), g.Parents(u)} {
+			for _, w := range nbrs {
+				if !seen[w] {
+					seen[w] = true
+					reached++
+					stack = append(stack, w)
+				}
+			}
+		}
+	}
+	sc.stack = stack
+	return reached == g.NumNodes()
+}
+
+// clearedMarks returns n false flags.
+func (sc *Scratch) clearedMarks(n int) []bool {
+	if cap(sc.marks) < n {
+		sc.marks = make([]bool, n)
+	}
+	sc.marks = sc.marks[:n]
+	clear(sc.marks)
+	return sc.marks
+}
+
+// clearLinks empties the link lists of nodes [0, n).
+func (sc *Scratch) clearLinks(n int) {
+	if cap(sc.nlinks) < n {
+		sc.links, sc.nlinks = make([][2]int32, n), make([]int32, n)
+	}
+	sc.links, sc.nlinks = sc.links[:n], sc.nlinks[:n]
+	clear(sc.nlinks)
+}
+
+// link records b as a neighbour of a. Only the first two neighbours are
+// kept: a node with more fails every caller's degree check.
+func (sc *Scratch) link(a, b int32) {
+	if k := sc.nlinks[a]; k < 2 {
+		sc.links[a][k] = b
+	}
+	sc.nlinks[a]++
 }
 
 // classifyW recognizes (s,t)-W-dags with s >= 2 (s == 1 is caught by the
 // clique case): every source has exactly t children, every sink has one
 // or two parents, the two-parent sinks link consecutive sources into a
 // simple path, and there are s(t-1)+1 sinks in total.
-func classifyW(g *dag.Frozen, sources, sinks []int32) (Classification, bool) {
+func (sc *Scratch) classifyW(g *dag.Frozen, sources, sinks []int32, order []int) (Classification, bool) {
 	s := len(sources)
 	if s < 2 {
 		return Classification{}, false
@@ -84,15 +157,15 @@ func classifyW(g *dag.Frozen, sources, sinks []int32) (Classification, bool) {
 		return Classification{}, false
 	}
 	// Shared sinks define links between sources.
-	links := make(map[int][]int, s) // source -> neighbouring sources
+	sc.clearLinks(g.NumNodes())
 	shared := 0
 	for _, v := range sinks {
 		switch g.InDegree(int(v)) {
 		case 1:
 		case 2:
 			p := g.Parents(int(v))
-			links[int(p[0])] = append(links[int(p[0])], int(p[1]))
-			links[int(p[1])] = append(links[int(p[1])], int(p[0]))
+			sc.link(p[0], p[1])
+			sc.link(p[1], p[0])
 			shared++
 		default:
 			return Classification{}, false
@@ -101,7 +174,7 @@ func classifyW(g *dag.Frozen, sources, sinks []int32) (Classification, bool) {
 	if shared != s-1 {
 		return Classification{}, false
 	}
-	order, ok := walkPath(sources, links)
+	order, ok := sc.walkPath(g.NumNodes(), sources, order)
 	if !ok {
 		return Classification{}, false
 	}
@@ -112,19 +185,20 @@ func classifyW(g *dag.Frozen, sources, sinks []int32) (Classification, bool) {
 // W-dag and replaying its sink order as a grouped source order: for each
 // sink along the path, execute its not-yet-executed parents, so sinks
 // become eligible one by one — the M-dag's IC-optimal schedule.
-func classifyM(g *dag.Frozen, sources, sinks []int32) (Classification, bool) {
+func (sc *Scratch) classifyM(g *dag.Frozen, sources, sinks []int32, order []int) (Classification, bool) {
 	rev := g.Reverse()
 	// In rev, sources and sinks swap roles.
-	c, ok := classifyW(rev, sinks, sources)
+	c, ok := sc.classifyW(rev, sinks, sources, sc.path)
 	if !ok {
 		return Classification{}, false
 	}
-	order := make([]int, 0, len(sources))
-	done := make(map[int]bool, len(sources))
+	sc.path = c.SourceOrder
+	order = order[:0]
+	done := sc.clearedMarks(g.NumNodes())
 	for _, v := range c.SourceOrder { // sinks of g in path order
-		ps := toInts(g.Parents(v))
-		sort.Ints(ps)
-		for _, u := range ps {
+		sc.ps = appendInts(sc.ps[:0], g.Parents(v))
+		sort.Ints(sc.ps)
+		for _, u := range sc.ps {
 			if !done[u] {
 				done[u] = true
 				order = append(order, u)
@@ -139,7 +213,7 @@ func classifyM(g *dag.Frozen, sources, sinks []int32) (Classification, bool) {
 // degrees 2, forming one alternating path. The IC-optimal order starts at
 // the source whose child has in-degree 1 and walks the path, rendering
 // one new sink eligible per executed source.
-func classifyN(g *dag.Frozen, sources, sinks []int32) (Classification, bool) {
+func (sc *Scratch) classifyN(g *dag.Frozen, sources, sinks []int32, order []int) (Classification, bool) {
 	n := len(sources)
 	if n < 2 || len(sinks) != n {
 		return Classification{}, false
@@ -185,9 +259,11 @@ func classifyN(g *dag.Frozen, sources, sinks []int32) (Classification, bool) {
 	}
 	// Walk: from source u, its "forward" child is the one we have not
 	// yet consumed; from that sink, the forward parent likewise.
-	order := make([]int, 0, n)
-	seenSrc := make(map[int]bool, n)
-	seenSink := make(map[int]bool, n)
+	order = order[:0]
+	// Sources and sinks are distinct nodes, so one set of flags serves
+	// for both.
+	seenSrc := sc.clearedMarks(g.NumNodes())
+	seenSink := seenSrc
 	u := start
 	for {
 		if seenSrc[u] {
@@ -242,7 +318,7 @@ func classifyN(g *dag.Frozen, sources, sinks []int32) (Classification, bool) {
 // 2 and the shared-sink links close the sources into a single cycle. Any
 // rotation/direction of the cycle is IC-optimal; we start at the smallest
 // source index for determinism.
-func classifyCycle(g *dag.Frozen, sources, sinks []int32) (Classification, bool) {
+func (sc *Scratch) classifyCycle(g *dag.Frozen, sources, sinks []int32, order []int) (Classification, bool) {
 	n := len(sources)
 	if n < 3 || len(sinks) != n || g.NumArcs() != 2*n {
 		return Classification{}, false
@@ -252,7 +328,7 @@ func classifyCycle(g *dag.Frozen, sources, sinks []int32) (Classification, bool)
 			return Classification{}, false
 		}
 	}
-	links := make(map[int][]int, n)
+	sc.clearLinks(g.NumNodes())
 	for _, v := range sinks {
 		if g.InDegree(int(v)) != 2 {
 			return Classification{}, false
@@ -261,25 +337,25 @@ func classifyCycle(g *dag.Frozen, sources, sinks []int32) (Classification, bool)
 		if p[0] == p[1] {
 			return Classification{}, false
 		}
-		links[int(p[0])] = append(links[int(p[0])], int(p[1]))
-		links[int(p[1])] = append(links[int(p[1])], int(p[0]))
+		sc.link(p[0], p[1])
+		sc.link(p[1], p[0])
 	}
 	for _, u := range sources {
-		if len(links[int(u)]) != 2 {
+		if sc.nlinks[u] != 2 {
 			return Classification{}, false
 		}
 	}
 	start := int(sources[0])
-	order := make([]int, 0, n)
-	seen := make(map[int]bool, n)
+	order = order[:0]
+	seen := sc.clearedMarks(g.NumNodes())
 	u, prev := start, -1
 	for {
 		order = append(order, u)
 		seen[u] = true
-		nb := links[u]
-		next := nb[0]
+		nb := sc.links[u]
+		next := int(nb[0])
 		if next == prev {
-			next = nb[1]
+			next = int(nb[1])
 		}
 		if next == start {
 			break
@@ -295,30 +371,31 @@ func classifyCycle(g *dag.Frozen, sources, sinks []int32) (Classification, bool)
 	return Classification{Family: CycleDag, S: n, T: n, SourceOrder: order}, true
 }
 
-// walkPath orders nodes along the simple path defined by links (adjacency
-// between sources via shared sinks); ok is false when the link structure
-// is not a single simple path over all nodes.
-func walkPath(nodes []int32, links map[int][]int) ([]int, bool) {
-	var ends []int
+// walkPath orders nodes along the simple path defined by the links
+// (adjacency between sources via shared sinks) of a graph with n nodes,
+// appending to order[:0]; ok is false when the link structure is not a
+// single simple path over all nodes.
+func (sc *Scratch) walkPath(n int, nodes []int32, order []int) ([]int, bool) {
+	ends, nEnds := [2]int{}, 0
 	for _, u := range nodes {
-		switch len(links[int(u)]) {
+		switch sc.nlinks[u] {
 		case 1:
-			ends = append(ends, int(u))
+			if nEnds < 2 {
+				ends[nEnds] = int(u)
+			}
+			nEnds++
 		case 2:
 		default:
 			return nil, false
 		}
 	}
-	if len(ends) != 2 {
+	if nEnds != 2 {
 		return nil, false
 	}
 	// Deterministic: start from the smaller-indexed end.
-	start := ends[0]
-	if ends[1] < start {
-		start = ends[1]
-	}
-	order := make([]int, 0, len(nodes))
-	seen := make(map[int]bool, len(nodes))
+	start := min(ends[0], ends[1])
+	order = order[:0]
+	seen := sc.clearedMarks(n)
 	u, prev := start, -1
 	for {
 		if seen[u] {
@@ -327,9 +404,9 @@ func walkPath(nodes []int32, links map[int][]int) ([]int, bool) {
 		seen[u] = true
 		order = append(order, u)
 		next := -1
-		for _, w := range links[u] {
-			if w != prev {
-				next = w
+		for _, w := range sc.links[u][:sc.nlinks[u]] {
+			if int(w) != prev {
+				next = int(w)
 			}
 		}
 		if next == -1 {
@@ -343,11 +420,20 @@ func walkPath(nodes []int32, links map[int][]int) ([]int, bool) {
 	return order, true
 }
 
-// toInts copies an int32 node list into a fresh []int.
-func toInts(xs []int32) []int {
-	out := make([]int, len(xs))
-	for i, x := range xs {
-		out[i] = int(x)
+// appendSinks appends g's nodes with no children, in index order.
+func appendSinks(dst []int32, g *dag.Frozen) []int32 {
+	for v := 0; v < g.NumNodes(); v++ {
+		if g.IsSink(v) {
+			dst = append(dst, int32(v))
+		}
 	}
-	return out
+	return dst
+}
+
+// appendInts appends an int32 node list to dst as ints.
+func appendInts(dst []int, xs []int32) []int {
+	for _, x := range xs {
+		dst = append(dst, int(x))
+	}
+	return dst
 }

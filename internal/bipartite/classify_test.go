@@ -433,3 +433,59 @@ func TestQuickClassifyImpliesOptimal(t *testing.T) {
 		t.Fatalf("only %d random dags classified; generator too weak", accepted)
 	}
 }
+
+// TestScratchReuseMatchesClassify: one Scratch reused across graphs of
+// every family, of different sizes, and across random two-level and
+// non-bipartite dags, in a shuffled order, must classify each exactly as
+// a fresh Classify does. Stale links or flags left from an earlier
+// graph would change a later result.
+func TestScratchReuseMatchesClassify(t *testing.T) {
+	r := rng.New(97)
+	var gs []*dag.Frozen
+	for n := 2; n <= 7; n++ {
+		gs = append(gs, NewW(n, 2+n%3), NewM(n, 2+n%2), NewN(n), NewClique(n, 9-n))
+		if n >= 3 {
+			gs = append(gs, NewCycle(n))
+		}
+	}
+	families := len(gs)
+	for trial := 0; trial < 400; trial++ {
+		nu, nv := 1+r.Intn(5), 1+r.Intn(6)
+		b := dag.New()
+		for i := 0; i < nu+nv; i++ {
+			b.AddNode(fmt.Sprint("n", i))
+		}
+		for i := 0; i < nu; i++ {
+			for j := 0; j < nv; j++ {
+				if r.Float64() < 0.45 {
+					b.MustAddArc(i, nu+j)
+				}
+			}
+		}
+		if trial%5 == 0 && nv > 1 { // a chain through two sinks: not bipartite
+			b.MustAddArc(nu, nu+1)
+		}
+		gs = append(gs, b.MustFreeze())
+	}
+	for i := len(gs) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		gs[i], gs[j] = gs[j], gs[i]
+	}
+	var sc Scratch
+	var buf []int
+	recognized := 0
+	for i, g := range gs {
+		want, wantOK := Classify(g)
+		got, gotOK := sc.Classify(g, buf)
+		if gotOK != wantOK || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("graph %d: reused scratch gives %+v, %v; fresh Classify %+v, %v", i, got, gotOK, want, wantOK)
+		}
+		if gotOK {
+			recognized++
+			buf = got.SourceOrder
+		}
+	}
+	if recognized < families {
+		t.Fatalf("only %d of %d graphs recognized, fewer than the %d family instances", recognized, len(gs), families)
+	}
+}

@@ -34,8 +34,9 @@
 //
 // The package holds no mutable state: Classify, Compose, and the
 // constructors are pure functions and safe to call from many goroutines
-// on distinct or shared (read-only) graphs. The parallel
-// Recurse phase in package core calls Classify concurrently, one
-// component per worker, with no synchronization beyond the shared
-// read-only inputs.
+// on distinct or shared (read-only) graphs. A Scratch holds one
+// caller's working storage for Scratch.Classify and must not be shared:
+// the parallel Recurse phase in package core gives each worker its
+// own, and classifies components concurrently with no synchronization
+// beyond the shared read-only inputs.
 package bipartite

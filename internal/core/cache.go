@@ -1,8 +1,8 @@
 package core
 
 import (
-	"strconv"
-	"strings"
+	"encoding/binary"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -84,11 +84,12 @@ func (c *Cache) ReduceCache() *dag.ReduceCache {
 	return c.reduce
 }
 
-// lookup returns the cached schedule template for a component subgraph.
-func (c *Cache) lookup(sub *dag.Frozen) (*cacheEntry, bool) {
-	key := componentSignature(sub)
+// lookup returns the cached schedule template for the component whose
+// signature is sig (see appendSignature). A hit allocates nothing: the
+// map is probed with the bytes themselves.
+func (c *Cache) lookup(sig []byte) (*cacheEntry, bool) {
 	c.mu.RLock()
-	e, ok := c.entries[key]
+	e, ok := c.entries[string(sig)]
 	c.mu.RUnlock()
 	if ok {
 		c.hits.Add(1)
@@ -98,34 +99,33 @@ func (c *Cache) lookup(sub *dag.Frozen) (*cacheEntry, bool) {
 	return e, ok
 }
 
-// store records a freshly computed component schedule. Concurrent
-// workers may race to store the same shape; the entries are identical
-// by construction (the signature is exact), so last-write-wins is fine.
-func (c *Cache) store(sub *dag.Frozen, cs *ComponentSchedule) {
-	key := componentSignature(sub)
+// store records a freshly computed component schedule under sig. The
+// entry owns copies of order and profile, so a long-lived cache never
+// keeps one call's storage alive. Concurrent workers may race to store
+// the same shape; the entries are identical by construction (the
+// signature is exact), so last-write-wins is fine.
+func (c *Cache) store(sig []byte, family bipartite.Family, order, profile []int) {
+	e := &cacheEntry{family: family, order: slices.Clone(order), profile: slices.Clone(profile)}
 	c.mu.Lock()
-	c.entries[key] = &cacheEntry{family: cs.Family, order: cs.Order, profile: cs.Profile}
+	c.entries[string(sig)] = e
 	c.mu.Unlock()
 }
 
-// componentSignature canonically encodes a component subgraph's
-// structure: node count, then each node's child list over the dense Sub
-// indices. Node names are deliberately excluded — neither Classify nor
+// appendSignature appends to dst a canonical encoding of a component
+// subgraph's structure: node count, each node's out-degree, then every
+// child list over the dense Sub indices in node order, every number a
+// uvarint. Node names are deliberately excluded — neither Classify nor
 // the outdegree order reads them — so equally shaped components from
 // different parts of the dag (or different dags) share an entry.
-func componentSignature(sub *dag.Frozen) string {
-	var b strings.Builder
+func appendSignature(dst []byte, sub *dag.Frozen) []byte {
 	n := sub.NumNodes()
-	b.Grow(8 + 4*sub.NumArcs())
-	b.WriteString(strconv.Itoa(n))
+	childStart, arena := sub.ChildCSR()
+	dst = binary.AppendUvarint(dst, uint64(n))
 	for v := 0; v < n; v++ {
-		b.WriteByte(';')
-		for i, c := range sub.Children(v) {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(strconv.Itoa(int(c)))
-		}
+		dst = binary.AppendUvarint(dst, uint64(childStart[v+1]-childStart[v]))
 	}
-	return b.String()
+	for _, c := range arena[childStart[0]:childStart[n]] {
+		dst = binary.AppendUvarint(dst, uint64(c))
+	}
+	return dst
 }

@@ -31,7 +31,7 @@ func groupKeyLess(a, b groupKey) bool {
 type profileGroup struct {
 	pid   int
 	count int
-	comps *btree.Tree[int]
+	comps minHeap[int] // the group's current sources, by index
 	pMin  float64
 	key   groupKey
 }
@@ -45,7 +45,8 @@ type profileGroup struct {
 // This is the engineered implementation of Section 3.5: sources are
 // grouped by interned eligibility profile and ranked in a B-tree
 // priority queue keyed by minimum pairwise priority, so each round
-// costs O(log) except when the set of distinct profiles changes. The
+// costs O(log) except when the set of distinct profiles changes.
+// Within a group, a slice heap yields the smallest component index. The
 // quadratic design it replaced is kept as combineNaive in
 // combine_oracle_test.go, the oracle it is tested against.
 func combineOrder(super *dag.Frozen, pids []int, pt *profileTable) []int {
@@ -63,14 +64,11 @@ func combineOrder(super *dag.Frozen, pids []int, pt *profileTable) []int {
 		pid := pids[c]
 		g := groups[pid]
 		if g == nil {
-			g = &profileGroup{
-				pid:   pid,
-				comps: btree.New(8, func(a, b int) bool { return a < b }),
-			}
+			g = &profileGroup{pid: pid}
 			groups[pid] = g
 			live.Add(pid)
 		}
-		g.comps.Insert(c)
+		g.comps.push(c)
 		g.count++
 		return g
 	}
@@ -91,8 +89,7 @@ func combineOrder(super *dag.Frozen, pids []int, pt *profileTable) []int {
 		if inTree {
 			tree.Delete(g.key)
 		}
-		mc, _ := g.comps.Min()
-		g.key = groupKey{p: g.pMin, minComp: mc, pid: g.pid}
+		g.key = groupKey{p: g.pMin, minComp: g.comps[0], pid: g.pid}
 		tree.Insert(g.key)
 	}
 	rebuildAll := func() {
@@ -103,8 +100,7 @@ func combineOrder(super *dag.Frozen, pids []int, pt *profileTable) []int {
 		live.ForEach(func(pid int) bool {
 			g := groups[pid]
 			g.pMin = computePMin(g)
-			mc, _ := g.comps.Min()
-			g.key = groupKey{p: g.pMin, minComp: mc, pid: g.pid}
+			g.key = groupKey{p: g.pMin, minComp: g.comps[0], pid: g.pid}
 			tree.Insert(g.key)
 			return true
 		})
@@ -122,7 +118,7 @@ func combineOrder(super *dag.Frozen, pids []int, pt *profileTable) []int {
 	for tree.Len() > 0 {
 		key, _ := tree.Max()
 		g := groups[key.pid]
-		comp, _ := g.comps.DeleteMin()
+		comp := g.comps.pop()
 		order = append(order, comp)
 		g.count--
 		if g.count == 0 {
@@ -147,7 +143,7 @@ func combineOrder(super *dag.Frozen, pids []int, pt *profileTable) []int {
 			pid := pids[c]
 			if g2 := groups[pid]; g2 != nil {
 				wasAlone := g2.count == 1
-				g2.comps.Insert(c)
+				g2.comps.push(c)
 				g2.count++
 				if wasAlone {
 					if r := pt.r(pid, pid); r < g2.pMin {

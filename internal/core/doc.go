@@ -26,7 +26,11 @@
 //
 // The final Schedule lists per-component orders in Combine order
 // followed by every dag sink, with Priority[v] = NumNodes - Rank[v]
-// matching Condor's larger-runs-first convention.
+// matching Condor's larger-runs-first convention. Its Components are
+// one value slice whose Order and Profile windows are cut from two
+// per-call slabs, and the Recurse phase runs on per-worker scratch, so
+// one call allocates a few hundred times however many components the
+// dag has (TestPrioritizeAllocsPerComponent pins this on SDSS).
 //
 // The package also provides the FIFO reference schedule, eligibility
 // traces E(t) and trace differences (Fig. 4), per-job priority

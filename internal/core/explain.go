@@ -27,7 +27,7 @@ func (s *Schedule) Explain(v int) string {
 		fmt.Fprintf(&b, "  a sink of the dag: executed in the final all-sinks phase\n")
 		return b.String()
 	}
-	cs := s.Components[ci]
+	cs := &s.Components[ci]
 	fmt.Fprintf(&b, "  scheduled by component C%d (%d jobs, %d to execute)\n",
 		ci, len(cs.Comp.Nodes), len(cs.Order))
 	if cs.Family != bipartite.Unknown {

@@ -246,9 +246,9 @@ func TestRecurseComponentPanicPropagates(t *testing.T) {
 	// A cycle can no longer reach the Recurse phase (Freeze rejects it),
 	// so a nil Sub stands in for "a buggy component": classifying it
 	// panics, and the parallel path must re-raise that panic here.
-	comps := make([]*decompose.Component, 16)
+	comps := make([]decompose.Component, 16)
 	for i := range comps {
-		comps[i] = &decompose.Component{Index: i, Sub: nil, Orig: []int{0, 1}}
+		comps[i] = decompose.Component{Index: i, Sub: nil, Orig: []int{0, 1}}
 	}
 	baseline := runtime.NumGoroutine()
 	panicked := make(chan bool, 1)

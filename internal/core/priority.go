@@ -2,7 +2,6 @@ package core
 
 import (
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -62,6 +61,7 @@ func PriorityR(ei, ej []int) float64 {
 // single merge goroutine.
 type profileTable struct {
 	ids      map[string]int
+	key      []byte // scratch: the key being looked up
 	profiles [][]int
 	// rVals[i][j] caches PriorityR(profiles[i], profiles[j]);
 	// rDone[i].Contains(j) marks the cells that have been computed.
@@ -76,14 +76,14 @@ func newProfileTable() *profileTable {
 }
 
 // intern returns a stable id for the profile, assigning a new one on
-// first sight.
+// first sight. Only a new profile allocates.
 func (pt *profileTable) intern(profile []int) int {
-	key := profileKey(profile)
-	if id, ok := pt.ids[key]; ok {
+	pt.key = appendProfileKey(pt.key[:0], profile)
+	if id, ok := pt.ids[string(pt.key)]; ok {
 		return id
 	}
 	id := len(pt.profiles)
-	pt.ids[key] = id
+	pt.ids[string(pt.key)] = id
 	pt.profiles = append(pt.profiles, append([]int(nil), profile...))
 	return id
 }
@@ -177,15 +177,12 @@ func (pt *profileTable) growR() {
 	pt.rVals, pt.rDone = vals, done
 }
 
-func profileKey(profile []int) string {
-	var b strings.Builder
-	b.Grow(len(profile) * 3)
+// appendProfileKey appends the profile's entries to dst in hex, each
+// followed by a comma.
+func appendProfileKey(dst []byte, profile []int) []byte {
 	for _, v := range profile {
-		// strconv instead of fmt.Fprintf: same "%x," rendering, no
-		// interface boxing, and purity-clean (the Fprint family is
-		// banned wholesale by the //prio:pure contract).
-		b.WriteString(strconv.FormatInt(int64(v), 16))
-		b.WriteByte(',')
+		dst = strconv.AppendInt(dst, int64(v), 16)
+		dst = append(dst, ',')
 	}
-	return b.String()
+	return dst
 }

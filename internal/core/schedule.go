@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
+
 	"repro/internal/bipartite"
-	"repro/internal/btree"
 	"repro/internal/dag"
 	"repro/internal/decompose"
 )
@@ -34,6 +35,8 @@ func (o Options) workers() int {
 }
 
 // ComponentSchedule is the Recurse-phase result for one component.
+// Order and Profile are windows over storage shared by the whole
+// Schedule, or over a Cache entry's.
 type ComponentSchedule struct {
 	Comp *decompose.Component
 	// Family is the recognized building-block family, or
@@ -66,7 +69,7 @@ type Schedule struct {
 	// ComponentOrder is the sequence in which the Combine phase
 	// consumed the superdag's components.
 	ComponentOrder []int
-	Components     []*ComponentSchedule
+	Components     []ComponentSchedule
 	Decomposition  *decompose.Result
 }
 
@@ -91,9 +94,9 @@ func PrioritizeOpts(g *dag.Frozen, opts Options) *Schedule {
 	// and therefore the Combine phase — never depend on worker timing.
 	pt := newProfileTable()
 	pids := make([]int, len(comps))
-	for i, cs := range comps {
-		cs.ProfileID = pt.intern(cs.Profile)
-		pids[i] = cs.ProfileID
+	for i := range comps {
+		comps[i].ProfileID = pt.intern(comps[i].Profile)
+		pids[i] = comps[i].ProfileID
 	}
 
 	// In parallel mode, fill the pairwise r-priority matrix up front
@@ -111,7 +114,7 @@ func PrioritizeOpts(g *dag.Frozen, opts Options) *Schedule {
 	n := g.NumNodes()
 	order := make([]int, 0, n)
 	for _, ci := range compOrder {
-		cs := comps[ci]
+		cs := &comps[ci]
 		for _, si := range cs.Order {
 			order = append(order, cs.Comp.Orig[si])
 		}
@@ -140,42 +143,32 @@ func PrioritizeOpts(g *dag.Frozen, opts Options) *Schedule {
 }
 
 // scheduleComponent implements the Recurse phase (Step 3) for one
-// component: an explicit IC-optimal schedule when the component is a
-// recognized bipartite building block, otherwise the outdegree
-// heuristic — repeatedly execute the eligible non-sink with the largest
-// out-degree (ties toward the smaller index), which executes sinks last
-// exactly as the paper prescribes.
-func scheduleComponent(c *decompose.Component) *ComponentSchedule {
-	cs := &ComponentSchedule{Comp: c}
-	if cls, ok := bipartite.Classify(c.Sub); ok {
-		cs.Family = cls.Family
-		cs.Order = cls.SourceOrder
-		return cs
+// component, writing its schedule into order[:0]: an explicit
+// IC-optimal schedule when the component is a recognized bipartite
+// building block, otherwise the outdegree heuristic — repeatedly
+// execute the eligible non-sink with the largest out-degree (ties
+// toward the smaller index), which executes sinks last exactly as the
+// paper prescribes.
+func scheduleComponent(c *decompose.Component, sc *recurseScratch, order []int) (bipartite.Family, []int) {
+	if cls, ok := sc.classify.Classify(c.Sub, order); ok {
+		return cls.Family, cls.SourceOrder
 	}
-	cs.Family = bipartite.Unknown
-	cs.Order = outdegreeOrder(c.Sub)
-	return cs
+	return bipartite.Unknown, outdegreeOrder(c.Sub, sc, order)
 }
 
-// degKey orders eligible jobs by descending out-degree, then ascending
-// index.
-type degKey struct{ deg, idx int }
+// degKey packs an eligible job's out-degree and index into one heap
+// key: the smallest key is the job with the largest out-degree, ties
+// toward the smaller index.
+func degKey(deg, v int) int64 { return int64(-deg)<<32 | int64(v) }
 
-func degKeyLess(a, b degKey) bool {
-	if a.deg != b.deg {
-		return a.deg > b.deg
-	}
-	return a.idx < b.idx
-}
-
-// outdegreeOrder returns the component's non-sinks in
+// outdegreeOrder writes into order[:0] the component's non-sinks in
 // greatest-outdegree-first order, constrained to be a valid execution
 // order (a job is only emitted once all of its parents inside the
 // component have been emitted).
-func outdegreeOrder(sub *dag.Frozen) []int {
+func outdegreeOrder(sub *dag.Frozen, sc *recurseScratch, order []int) []int {
 	n := sub.NumNodes()
-	remaining := make([]int, n)
-	ready := btree.New(8, degKeyLess)
+	remaining := sc.ints(n)
+	ready := minHeap[int64](sc.ready[:0])
 	nonSinks := 0
 	for v := 0; v < n; v++ {
 		remaining[v] = sub.InDegree(v)
@@ -184,23 +177,63 @@ func outdegreeOrder(sub *dag.Frozen) []int {
 		}
 		nonSinks++
 		if remaining[v] == 0 {
-			ready.Insert(degKey{deg: sub.OutDegree(v), idx: v})
+			ready.push(degKey(sub.OutDegree(v), v))
 		}
 	}
-	order := make([]int, 0, nonSinks)
-	for ready.Len() > 0 {
-		k, _ := ready.DeleteMin()
-		v := k.idx
+	order = order[:0]
+	for len(ready) > 0 {
+		v := int(ready.pop() & (1<<32 - 1))
 		order = append(order, v)
 		for _, c := range sub.Children(v) {
 			remaining[c]--
 			if remaining[c] == 0 && sub.OutDegree(int(c)) > 0 {
-				ready.Insert(degKey{deg: sub.OutDegree(int(c)), idx: int(c)})
+				ready.push(degKey(sub.OutDegree(int(c)), int(c)))
 			}
 		}
 	}
+	sc.ready = ready
 	if len(order) != nonSinks {
 		panic("core: outdegree order did not cover all non-sinks")
 	}
 	return order
+}
+
+// minHeap is a binary min-heap over a slice. Its keys are totally
+// ordered, so its pop sequence is fully determined by the keys pushed.
+type minHeap[T cmp.Ordered] []T
+
+func (h *minHeap[T]) push(x T) {
+	*h = append(*h, x)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if s[p] <= s[i] {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+}
+
+// pop removes and returns the minimum; the heap must be nonempty.
+func (h *minHeap[T]) pop() T {
+	s := *h
+	top, last := s[0], len(s)-1
+	s[0] = s[last]
+	s = s[:last]
+	*h = s
+	for i := 0; ; {
+		m, l, r := i, 2*i+1, 2*i+2
+		if l < last && s[l] < s[m] {
+			m = l
+		}
+		if r < last && s[r] < s[m] {
+			m = r
+		}
+		if m == i {
+			return top
+		}
+		s[i], s[m] = s[m], s[i]
+		i = m
+	}
 }

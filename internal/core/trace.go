@@ -18,17 +18,23 @@ import (
 // a job before its parents, or an error is returned.
 func EligibilityTrace(g *dag.Frozen, order []int) ([]int, error) {
 	n := g.NumNodes()
-	remaining := make([]int, n) // unexecuted parents per job
-	executed := make([]bool, n)
+	return eligibilityTrace(g, order, make([]int, n), make([]bool, n), make([]int, 0, len(order)+1))
+}
+
+// eligibilityTrace is EligibilityTrace on caller storage: remaining and
+// executed must have length g.NumNodes() (their contents are
+// overwritten), and the trace is appended to trace[:0].
+func eligibilityTrace(g *dag.Frozen, order, remaining []int, executed []bool, trace []int) ([]int, error) {
+	n := g.NumNodes()
 	eligible := 0
 	for v := 0; v < n; v++ {
-		remaining[v] = g.InDegree(v)
+		remaining[v] = g.InDegree(v) // unexecuted parents per job
+		executed[v] = false
 		if remaining[v] == 0 {
 			eligible++
 		}
 	}
-	trace := make([]int, 0, len(order)+1)
-	trace = append(trace, eligible)
+	trace = append(trace[:0], eligible)
 	for t, v := range order {
 		if v < 0 || v >= n {
 			return nil, fmt.Errorf("core: order[%d] = %d out of range", t, v)

@@ -20,7 +20,7 @@
 // call never allocate: NumNodes, NumArcs, Name, Names, Children,
 // Parents, OutDegree, InDegree, IsSource, IsSink, Sources, Topo,
 // TopoPositions, ChildCSR, HasArc, IsBipartiteDag, StructuralEq, and
-// the in-place sorts sortArcs and insertionSortByPos.
+// the in-place sort sortArcs.
 // TestNoallocSitesAllocateNothing measures each at 0 allocations.
 package dag
 

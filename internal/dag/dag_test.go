@@ -300,25 +300,6 @@ func TestReverse(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	g := buildNamed(t, []string{"a", "b", "c", "d"}, "a>b", "b>c", "c>d", "a>d")
-	sub, orig := g.InducedSubgraph([]int{g.IndexOf("a"), g.IndexOf("b"), g.IndexOf("d")})
-	if sub.NumNodes() != 3 {
-		t.Fatalf("sub nodes = %d", sub.NumNodes())
-	}
-	if sub.NumArcs() != 2 { // a>b and a>d survive; b>c and c>d do not
-		t.Fatalf("sub arcs = %d, want 2", sub.NumArcs())
-	}
-	if len(orig) != 3 || g.Name(orig[sub.IndexOf("b")]) != "b" {
-		t.Fatal("orig mapping broken")
-	}
-	// duplicate selection collapses
-	sub2, _ := g.InducedSubgraph([]int{0, 0, 1})
-	if sub2.NumNodes() != 2 {
-		t.Fatalf("duplicate nodes not collapsed: %d", sub2.NumNodes())
-	}
-}
-
 func TestArcsSorted(t *testing.T) {
 	g := buildNamed(t, []string{"a", "b", "c"}, "b>c", "a>c", "a>b")
 	arcs := g.Arcs()

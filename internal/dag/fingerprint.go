@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"encoding/binary"
 	"hash/maphash"
 	"sync"
 )
@@ -25,18 +26,29 @@ var fingerprintSeed = maphash.MakeSeed()
 func (f *Frozen) Fingerprint() uint64 {
 	var h maphash.Hash
 	h.SetSeed(fingerprintSeed)
-	var buf [8]byte
-	writeInt := func(x int) {
-		v := uint64(x)
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
+	// The byte stream is staged in a chunk buffer: one Write per few
+	// kilobytes costs a fraction of one per 8-byte integer.
+	var chunk [4096]byte
+	buf := chunk[:0]
+	reserve := func(k int) {
+		if len(buf)+k > cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
 		}
-		h.Write(buf[:])
+	}
+	writeInt := func(x int) {
+		reserve(8)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
 	}
 	writeInt(f.NumNodes())
 	for _, name := range f.names {
-		h.WriteString(name)
-		h.WriteByte(0)
+		reserve(len(name) + 1)
+		if len(name) >= cap(buf) {
+			h.WriteString(name)
+			h.WriteByte(0)
+			continue
+		}
+		buf = append(append(buf, name...), 0)
 	}
 	writeInt(f.numArcs)
 	for u := 0; u < f.NumNodes(); u++ {
@@ -45,6 +57,7 @@ func (f *Frozen) Fingerprint() uint64 {
 			writeInt(int(v))
 		}
 	}
+	h.Write(buf)
 	return h.Sum64()
 }
 

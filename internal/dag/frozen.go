@@ -32,19 +32,26 @@ type Frozen struct {
 
 // buildFrozen assembles a Frozen from node names and a forward CSR. The
 // arena must have length 2m with the children region filled in
-// [0, m); buildFrozen derives the parents region, scanning nodes in
-// ascending index order so Parents(v) lists parents in ascending-u
-// grouped adjacency order. index may be nil. Takes ownership of every
-// argument.
+// [0, m); buildFrozen derives the parents region. index may be nil.
+// Takes ownership of every argument.
 func buildFrozen(names []string, index map[string]int, childStart, arena []int32) (*Frozen, error) {
+	f := &Frozen{}
+	if err := f.init(names, index, childStart, arena, make([]int32, 4*len(names)+1)); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// init fills f from node names and a forward CSR laid out as for
+// buildFrozen, scanning nodes in ascending index order so Parents(v)
+// lists parents in ascending-u grouped adjacency order. backing must
+// have length 4n+1: it holds the parent offsets plus finish's working
+// storage (indegree counts, topo queue, position index), so a frozen
+// graph costs one array beyond its arena.
+func (f *Frozen) init(names []string, index map[string]int, childStart, arena, backing []int32) error {
 	n := len(names)
 	m := int(childStart[n])
-	// One backing array holds the parent offsets plus finish's working
-	// storage (indegree counts, topo queue, position index): four small
-	// allocations per frozen graph collapse into one, which matters when
-	// the decomposer freezes one subgraph per component.
-	backing := make([]int32, (n+1)+3*n)
-	f := &Frozen{
+	*f = Frozen{
 		names:       names,
 		index:       index,
 		numArcs:     m,
@@ -70,29 +77,47 @@ func buildFrozen(names []string, index map[string]int, childStart, arena []int32
 			scratch[v]++
 		}
 	}
-	if err := f.finish(backing[n+1 : n+1 : len(backing)]); err != nil {
-		return nil, err
-	}
-	return f, nil
+	return f.finish(backing[n+1 : n+1 : len(backing)])
 }
 
-// FromCSR assembles a Frozen directly from node names and a forward CSR
-// adjacency: childStart must have length len(names)+1 with absolute
-// offsets into arena, and arena must have length 2*childStart[n] with
-// the children region filled in [0, childStart[n]) — the parents region
-// is derived in place. FromCSR takes ownership of all three slices and
-// returns an error if the adjacency contains a cycle. It exists for hot
-// paths (component detachment, subgraph extraction) that already know
-// the exact arc layout and would waste allocations round-tripping
-// through a Builder; ordinary construction should use Builder.Freeze.
-func FromCSR(names []string, childStart, arena []int32) (*Frozen, error) {
-	if len(childStart) != len(names)+1 {
-		return nil, fmt.Errorf("dag: FromCSR childStart has length %d, want %d", len(childStart), len(names)+1)
+// FreezeBatch freezes len(bounds)-1 dags stored back to back in shared
+// arrays, for callers that carve many small graphs out of one large
+// one (the decomposer's components). Graph i has the nodes
+// names[bounds[i]:bounds[i+1]]; its n_i+1 forward CSR offsets are
+// childStart[bounds[i]+i : bounds[i+1]+i+1], counted from 0 within its
+// own arena window; and that window is the next 2*m_i entries of arena
+// (m_i being its last offset), with the children in the first m_i.
+// The parents half of each window is derived in place, and the
+// topological precomputes of all graphs share one array, so k graphs
+// cost two allocations rather than several each. FreezeBatch takes
+// ownership of all four slices and returns an error if the layout is
+// inconsistent or a graph has a cycle.
+func FreezeBatch(names []string, bounds []int, childStart, arena []int32) ([]Frozen, error) {
+	k := len(bounds) - 1
+	if k < 0 || bounds[0] != 0 || bounds[k] != len(names) || len(childStart) != len(names)+k {
+		return nil, fmt.Errorf("dag: FreezeBatch has %d names, %d bounds and %d offsets", len(names), len(bounds), len(childStart))
 	}
-	if m := int(childStart[len(names)]); len(arena) != 2*m {
-		return nil, fmt.Errorf("dag: FromCSR arena has length %d, want %d", len(arena), 2*m)
+	out := make([]Frozen, k)
+	backing := make([]int32, 4*len(names)+k)
+	a, b := 0, 0
+	for i := range out {
+		lo, hi := bounds[i], bounds[i+1]
+		n := hi - lo
+		cs := childStart[lo+i : hi+i+1 : hi+i+1]
+		m := int(cs[n])
+		if a+2*m > len(arena) {
+			return nil, fmt.Errorf("dag: FreezeBatch arena has %d entries, graph %d needs %d", len(arena), i, a+2*m)
+		}
+		if err := out[i].init(names[lo:hi:hi], nil, cs, arena[a:a+2*m:a+2*m], backing[b:b+4*n+1:b+4*n+1]); err != nil {
+			return nil, err
+		}
+		a += 2 * m
+		b += 4*n + 1
 	}
-	return buildFrozen(names, nil, childStart, arena)
+	if a != len(arena) {
+		return nil, fmt.Errorf("dag: FreezeBatch arena has %d entries, the graphs use %d", len(arena), a)
+	}
+	return out, nil
 }
 
 // finish computes the topological precomputes (topo, pos, sources) and
@@ -343,53 +368,4 @@ func (f *Frozen) Reverse() *Frozen {
 		panic(err) // unreachable: reversing a dag cannot create a cycle
 	}
 	return r
-}
-
-// InducedSubgraph returns the subgraph induced by the given nodes
-// together with a mapping from new indices to original indices.
-// Duplicate nodes are ignored after their first occurrence. Arcs
-// between selected nodes are preserved in the original adjacency
-// order; names are shared with f.
-func (f *Frozen) InducedSubgraph(nodes []int) (*Frozen, []int) {
-	toNew := make(map[int]int32, len(nodes))
-	orig := make([]int, 0, len(nodes))
-	for _, v := range nodes {
-		f.checkNode(v)
-		if _, dup := toNew[v]; dup {
-			continue
-		}
-		toNew[v] = int32(len(orig))
-		orig = append(orig, v)
-	}
-	n := len(orig)
-	names := make([]string, n)
-	childStart := make([]int32, n+1)
-	for i, v := range orig {
-		names[i] = f.names[v]
-		for _, c := range f.Children(v) {
-			if _, ok := toNew[int(c)]; ok {
-				childStart[i+1]++
-			}
-		}
-	}
-	var m int32
-	for i := 0; i < n; i++ {
-		m += childStart[i+1]
-		childStart[i+1] = m
-	}
-	arena := make([]int32, 2*m)
-	next := append([]int32(nil), childStart[:n]...)
-	for i, v := range orig {
-		for _, c := range f.Children(v) {
-			if nc, ok := toNew[int(c)]; ok {
-				arena[next[i]] = nc
-				next[i]++
-			}
-		}
-	}
-	sub, err := buildFrozen(names, nil, childStart, arena)
-	if err != nil {
-		panic(err) // unreachable: an induced subgraph of a dag is a dag
-	}
-	return sub, orig
 }

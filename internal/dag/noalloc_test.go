@@ -20,18 +20,13 @@ func TestNoallocSitesAllocateNothing(t *testing.T) {
 			arcs = append(arcs, dag.Arc{From: u, To: int(v)})
 		}
 	}
-	// The sorts get reversed input, so every run does the full
-	// quadratic amount of shifting, in slices sized up front.
+	// The sort gets reversed input, so every run does the full
+	// quadratic amount of shifting, in a slice sized up front.
 	reversedArcs := make([]dag.Arc, len(arcs))
-	reversedTopo := make([]int32, n)
 	for i, a := range arcs {
 		reversedArcs[len(arcs)-1-i] = a
 	}
-	for i, v := range g.Topo() {
-		reversedTopo[n-1-i] = v
-	}
 	arcBuf := make([]dag.Arc, len(arcs))
-	nodeBuf := make([]int32, n)
 
 	var sink int
 	perNode := func(f func(v int) int) func() {
@@ -79,10 +74,6 @@ func TestNoallocSitesAllocateNothing(t *testing.T) {
 			copy(arcBuf, reversedArcs)
 			dag.SortArcs(arcBuf)
 		}},
-		{"insertionSortByPos", func() {
-			copy(nodeBuf, reversedTopo)
-			dag.InsertionSortByPos(nodeBuf, g.TopoPositions())
-		}},
 	} {
 		if allocs := testing.AllocsPerRun(20, tc.run); allocs != 0 {
 			t.Errorf("%s: %v allocations per run, want 0", tc.name, allocs)
@@ -96,12 +87,6 @@ func TestNoallocSitesAllocateNothing(t *testing.T) {
 	for i := 1; i < len(arcBuf); i++ {
 		if a, b := arcBuf[i-1], arcBuf[i]; a.From > b.From || (a.From == b.From && a.To > b.To) {
 			t.Fatalf("sortArcs left %v before %v", a, b)
-		}
-	}
-	pos := g.TopoPositions()
-	for i := 1; i < n; i++ {
-		if pos[nodeBuf[i-1]] > pos[nodeBuf[i]] {
-			t.Fatalf("insertionSortByPos left node %d before %d", nodeBuf[i-1], nodeBuf[i])
 		}
 	}
 	if sink == 0 {

@@ -12,33 +12,33 @@ package dag
 // The algorithm processes each node u and asks which children of u are
 // reachable from another child by a nonempty path. Children are scanned
 // in topological order; a DFS from each child marks its descendants, and
-// a child found already marked is a shortcut target. The DFS is pruned at
-// nodes whose topological position exceeds that of u's last child, since
-// such nodes cannot lie on a path to any child of u. Traversal is pure
-// CSR slice walking: the only allocations are the visit stamps, the DFS
-// stack, one reusable child-order buffer, and the result.
+// a child found already marked is a shortcut target. Every child list
+// is sorted by topological position once, up front, so the DFS stops
+// scanning a node's children at the first one past the position of u's
+// last child: no later child can lie on a path to a child of u.
+// Traversal is pure CSR slice walking: the only allocations are the
+// sorted copy of the arcs, the visit stamps, the DFS stack and the
+// result.
 func (f *Frozen) ShortcutArcs() []Arc {
 	pos := f.pos
 	n := f.NumNodes()
+	cs, sorted := f.childrenByPos()
 	// visited[v] == stamp means v was marked during the current u's scan.
 	visited := make([]int32, n)
 	for i := range visited {
 		visited[i] = -1
 	}
 	stack := make([]int32, 0, 64)
-	order := make([]int32, 0, 16)
 	var shortcuts []Arc
 
 	for u := 0; u < n; u++ {
-		kids := f.Children(u)
-		if len(kids) < 2 {
-			continue // a single arc cannot be a shortcut of itself
-		}
 		// Children in ascending topological order: any child reachable
 		// from another child must come later in topo order, so by the
 		// time we visit it, the DFS of the earlier child has marked it.
-		order = append(order[:0], kids...)
-		insertionSortByPos(order, pos)
+		order := sorted[cs[u]:cs[u+1]]
+		if len(order) < 2 {
+			continue // a single arc cannot be a shortcut of itself
+		}
 		maxPos := pos[order[len(order)-1]]
 
 		stamp := int32(u)
@@ -47,18 +47,20 @@ func (f *Frozen) ShortcutArcs() []Arc {
 				shortcuts = append(shortcuts, Arc{u, int(c)})
 				continue // descendants of c are already being marked via the earlier child
 			}
-			// DFS from c, marking descendants; prune beyond maxPos.
+			// DFS from c, marking descendants up to maxPos.
 			visited[c] = stamp
 			stack = append(stack[:0], c)
 			for len(stack) > 0 {
 				x := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				for _, w := range f.Children(int(x)) {
-					if visited[w] == stamp || pos[w] > maxPos {
-						continue
+				for _, w := range sorted[cs[x]:cs[x+1]] {
+					if pos[w] > maxPos {
+						break
 					}
-					visited[w] = stamp
-					stack = append(stack, w)
+					if visited[w] != stamp {
+						visited[w] = stamp
+						stack = append(stack, w)
+					}
 				}
 			}
 		}
@@ -67,16 +69,26 @@ func (f *Frozen) ShortcutArcs() []Arc {
 	return shortcuts
 }
 
-func insertionSortByPos(xs []int32, pos []int32) {
-	for i := 1; i < len(xs); i++ {
-		x := xs[i]
-		j := i - 1
-		for j >= 0 && pos[xs[j]] > pos[x] {
-			xs[j+1] = xs[j]
-			j--
-		}
-		xs[j+1] = x
+// childrenByPos returns the forward adjacency as a fresh CSR (offsets
+// from 0, whatever the receiver's arena layout) with every child list
+// in ascending topological position. Walking the nodes in topological
+// order and appending each to its parents' lists sorts all lists in
+// one linear pass.
+func (f *Frozen) childrenByPos() (start, sorted []int32) {
+	n, m := f.NumNodes(), f.numArcs
+	buf := make([]int32, 2*(n+1)+m)
+	start, next, sorted := buf[:n+1], buf[n+1:2*(n+1)], buf[2*(n+1):]
+	for v := 0; v <= n; v++ {
+		start[v] = f.childStart[v] - f.childStart[0]
 	}
+	copy(next, start)
+	for _, v := range f.topo {
+		for _, p := range f.Parents(int(v)) {
+			sorted[next[p]] = v
+			next[p]++
+		}
+	}
+	return start, sorted
 }
 
 func sortArcs(arcs []Arc) {

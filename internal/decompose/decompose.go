@@ -2,7 +2,7 @@ package decompose
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/dag"
 )
@@ -42,7 +42,9 @@ type Result struct {
 	Reduced   *dag.Frozen
 	Shortcuts []dag.Arc
 	// Components lists the detached components in detachment order.
-	Components []*Component
+	// Their Nodes, Orig and Sub are windows over storage shared by the
+	// whole Result.
+	Components []Component
 	// Super is the superdag: node i is component i (its name is empty);
 	// an arc i -> j records that component j cannot start before
 	// component i — a sink of i reappears in j, or a job scheduled in j
@@ -82,77 +84,96 @@ func DecomposeOpts(g *dag.Frozen, opts Options) *Result {
 // and BenchmarkAblationFastPath keep as the oracle for the fast path.
 func newDecomposer(g *dag.Frozen, opts Options, fastPath bool) *decomposer {
 	reduced, shortcuts := g.TransitiveReductionCached(opts.ReduceCache)
+	n := reduced.NumNodes()
 	d := &decomposer{
 		g:        reduced,
-		alive:    make([]bool, reduced.NumNodes()),
-		inAlive:  make([]int, reduced.NumNodes()),
-		outAlive: make([]int, reduced.NumNodes()),
-		owner:    make([]int, reduced.NumNodes()),
-		mark:     make([]int32, reduced.NumNodes()),
-		inBlock:  make([]bool, reduced.NumNodes()),
-		isSource: make([]bool, reduced.NumNodes()),
-		assigned: make([]bool, reduced.NumNodes()),
+		alive:    make([]bool, n),
+		inAlive:  make([]int32, n),
+		outAlive: make([]int32, n),
+		owner:    make([]int32, n),
+		first:    make([]int32, n),
+		mark:     make([]int32, n),
+		inBlock:  make([]bool, n),
+		isSource: make([]bool, n),
+		assigned: make([]bool, n),
 		result: &Result{
 			Reduced:     reduced,
 			Shortcuts:   shortcuts,
-			ScheduledIn: make([]int, reduced.NumNodes()),
+			ScheduledIn: make([]int, n),
 		},
 		fastPath: fastPath,
 	}
-	for v := 0; v < reduced.NumNodes(); v++ {
+	for v := 0; v < n; v++ {
 		d.alive[v] = true
-		d.inAlive[v] = reduced.InDegree(v)
-		d.outAlive[v] = reduced.OutDegree(v)
+		d.inAlive[v] = int32(reduced.InDegree(v))
+		d.outAlive[v] = int32(reduced.OutDegree(v))
 		d.owner[v] = -1
+		d.first[v] = -1
 		d.mark[v] = -1
 		d.result.ScheduledIn[v] = -1
 	}
-	d.aliveCount = reduced.NumNodes()
+	d.aliveCount = n
 	return d
 }
 
 type decomposer struct {
-	g          *dag.Frozen
-	alive      []bool
-	inAlive    []int   // number of alive parents
-	outAlive   []int   // number of alive children
-	owner      []int   // last component that contained the node, or -1
-	mark       []int32 // scratch: local index during inducedAlive, else -1
-	inBlock    []bool  // scratch: membership of the block being closed
+	g        *dag.Frozen
+	alive    []bool
+	inAlive  []int32 // number of alive parents
+	outAlive []int32 // number of alive children
+	// A job belongs to at most two components: owner is the last one
+	// that contained it (or -1), first the earlier one that held it as a
+	// sink it could not yet detach (or -1). These two arrays are all the
+	// membership peeling records; cutWindows rebuilds the rest.
+	owner      []int32
+	first      []int32
+	shared     int     // jobs with first != -1
+	arcs       int     // total component arcs
+	kinds      []kind  // per component, in detachment order
+	mark       []int32 // scratch: out-degree in detach, local index in cutWindows, else -1
+	inBlock    []bool  // scratch: membership of the block being closed or detached
 	isSource   []bool  // scratch: current-round sources (bipartiteBlocks)
 	assigned   []bool  // scratch: sources grouped this round (bipartiteBlocks)
-	blockBuf   []int   // scratch: nodes of the closure being attempted
-	srcsBuf    []int   // scratch: source queue of the closure being attempted
+	sources    []int   // scratch: the current round's sources
+	blockNodes []int   // scratch: nodes of this round's fast-path blocks, back to back
+	blocks     []span  // scratch: this round's fast-path blocks
+	closeBuf   []int   // scratch: nodes of the closure being computed
+	bestBuf    []int   // scratch: nodes of the smallest closure so far
+	srcQueue   []int   // scratch: source queue of the closure being computed
+	tQueue     []int   // scratch: T queue of the closure being computed
 	aliveCount int
 	fastPath   bool
-	// The superdag's arcs in the order they are found, repeats
-	// included: dag.FromArcs keeps each arc's first occurrence, which is
-	// the order combineOrder sees.
-	superFrom, superTo []int32
-	result             *Result
+	result     *Result
 }
 
-// run peels the remnant into components (Step 2) and builds the
-// superdag.
+// kind is what a component's record in Result says about how it was
+// detached; cutWindows writes the records once their number is known.
+type kind struct{ bipartite, fastPath bool }
+
+// span is one fast-path block: blockNodes[lo:hi], grown from source
+// minNode, its smallest member source.
+type span struct{ lo, hi, minNode int }
+
+// run peels the remnant into components (Step 2), then cuts the
+// component windows and builds the superdag.
 func (d *decomposer) run() *Result {
 	for d.aliveCount > 0 {
 		sources := d.currentSources()
 		if len(sources) == 0 {
 			panic("decompose: nonempty remnant without sources (cycle?)")
 		}
-		if d.fastPath {
-			if blocks := d.bipartiteBlocks(sources); len(blocks) > 0 {
-				for _, b := range blocks {
-					d.detach(b, true, true)
-				}
-				continue
+		if d.fastPath && d.bipartiteBlocks(sources) {
+			for _, b := range d.blocks {
+				d.detach(d.blockNodes[b.lo:b.hi], true, true)
 			}
+			continue
 		}
-		b := d.minimalClosure(sources)
-		d.detach(b, d.isBipartiteSet(b), false)
+		nodes := d.minimalClosure(sources)
+		d.detach(nodes, d.isBipartiteSet(nodes), false)
 	}
-	d.addDependencyArcs()
-	super, err := dag.FromArcs(make([]string, len(d.result.Components)), nil, d.superFrom, d.superTo)
+	d.cutWindows()
+	from, to := d.superArcs()
+	super, err := dag.FromArcs(make([]string, len(d.result.Components)), nil, from, to)
 	if err != nil {
 		panic(err) // unreachable: every arc runs from an earlier component to a later one
 	}
@@ -160,72 +181,167 @@ func (d *decomposer) run() *Result {
 	return d.result
 }
 
-func (d *decomposer) addSuperArc(from, to int) {
-	d.superFrom = append(d.superFrom, int32(from))
-	d.superTo = append(d.superTo, int32(to))
+// cutWindows lays every component out in storage shared by the whole
+// Result and points its Nodes, Orig and Sub there: one member array,
+// one name table, one induced-subgraph CSR, and one batch of frozen
+// subgraph headers, with no allocation per component. Walking jobs in
+// index order leaves each component's members ascending. A component's
+// arcs are the reduced arcs from the jobs it schedules to its other
+// members: exactly the arcs whose both endpoints were alive members
+// when it was detached.
+func (d *decomposer) cutWindows() {
+	k := len(d.kinds)
+	comps := make([]Component, k)
+	for i, kd := range d.kinds {
+		comps[i] = Component{Index: i, Bipartite: kd.bipartite, FastPath: kd.fastPath}
+	}
+	for _, i := range d.result.ScheduledIn {
+		if i != -1 {
+			comps[i].NonSinkCount++
+		}
+	}
+	bounds := make([]int, k+1)
+	for v, o := range d.owner {
+		bounds[o+1]++
+		if f := d.first[v]; f != -1 {
+			bounds[f+1]++
+		}
+	}
+	for i := 0; i < k; i++ {
+		bounds[i+1] += bounds[i]
+	}
+	members := make([]int, bounds[k])
+	next := make([]int, k)
+	copy(next, bounds)
+	for v, o := range d.owner {
+		if f := d.first[v]; f != -1 {
+			members[next[f]] = v
+			next[f]++
+		}
+		members[next[o]] = v
+		next[o]++
+	}
+
+	names := make([]string, len(members))
+	childStart := make([]int32, len(members)+k)
+	arena := make([]int32, 2*d.arcs)
+	a := 0
+	for i := range comps {
+		nodes := members[bounds[i]:bounds[i+1]]
+		for j, v := range nodes {
+			d.mark[v] = int32(j)
+			names[bounds[i]+j] = d.g.Name(v)
+		}
+		cs := childStart[bounds[i]+i : bounds[i+1]+i+1]
+		base := a
+		for j, u := range nodes {
+			if d.result.ScheduledIn[u] == i {
+				for _, c := range d.g.Children(u) {
+					if d.mark[c] >= 0 {
+						arena[a] = d.mark[c]
+						a++
+					}
+				}
+			}
+			cs[j+1] = int32(a - base)
+		}
+		a += a - base // the parents half, which FreezeBatch derives
+		for _, v := range nodes {
+			d.mark[v] = -1
+		}
+	}
+	subs, err := dag.FreezeBatch(names, bounds, childStart, arena)
+	if err != nil {
+		panic(err) // unreachable: an induced subgraph of a dag is a dag
+	}
+	for i := range comps {
+		lo, hi := bounds[i], bounds[i+1]
+		comps[i].Nodes = members[lo:hi:hi]
+		comps[i].Orig = comps[i].Nodes
+		comps[i].Sub = &subs[i]
+	}
+	d.result.Components = comps
 }
 
-// addDependencyArcs completes the superdag with execution-order
-// constraints that the shared-node (composition) arcs alone can miss: an
-// interior non-sink of a component may have children outside it, and
-// those children are executed by later components that need not share
-// any node with it. For every reduced arc p -> v whose endpoints are
-// scheduled in different components, the parent's component must precede
-// the child's. All such arcs point from an earlier-detached component to
-// a later one, so the superdag stays acyclic.
-func (d *decomposer) addDependencyArcs() {
-	for p := 0; p < d.g.NumNodes(); p++ {
-		a := d.result.ScheduledIn[p]
+// superArcs lists the superdag's arcs, repeats included, in the order
+// dag.FromArcs keeps each arc's first occurrence — the order
+// combineOrder sees. First come the composition arcs: a job that an
+// earlier component held as a sink links it to the later one, listed
+// by the later component and then by job. Then come the dependency
+// arcs, the execution-order constraints the composition arcs alone can
+// miss: an interior non-sink of a component may have children outside
+// it, and those children are executed by later components that need not
+// share any node with it. For every reduced arc p -> v whose endpoints
+// are scheduled in different components, the parent's component must
+// precede the child's. All arcs point from an earlier-detached
+// component to a later one, so the superdag is acyclic.
+func (d *decomposer) superArcs() (from, to []int32) {
+	from = make([]int32, 0, d.shared+d.g.NumArcs())
+	to = make([]int32, 0, d.shared+d.g.NumArcs())
+	for i := range d.result.Components {
+		for _, v := range d.result.Components[i].Nodes {
+			if f := d.first[v]; f != -1 && int(d.owner[v]) == i {
+				from, to = append(from, f), append(to, int32(i))
+			}
+		}
+	}
+	scheduledIn := d.result.ScheduledIn
+	for p, a := range scheduledIn {
 		if a == -1 {
 			continue
 		}
 		for _, v := range d.g.Children(p) {
-			b := d.result.ScheduledIn[v]
-			if b != -1 && b != a {
-				d.addSuperArc(a, b)
+			if b := scheduledIn[v]; b != -1 && b != a {
+				from, to = append(from, int32(a)), append(to, int32(b))
 			}
 		}
 	}
+	return from, to
 }
 
-// currentSources returns the alive nodes with no alive parents, ascending.
+// currentSources returns the alive nodes with no alive parents,
+// ascending, in scratch reused every round.
 func (d *decomposer) currentSources() []int {
-	var out []int
+	out := d.sources[:0]
 	for v := 0; v < d.g.NumNodes(); v++ {
 		if d.alive[v] && d.inAlive[v] == 0 {
 			out = append(out, v)
 		}
 	}
+	d.sources = out
 	return out
-}
-
-// block is a component-in-progress: a set of remnant nodes. nodes is in
-// discovery order; membership during construction is tracked in the
-// decomposer's inBlock scratch (cleared before the block is handed on),
-// so building a block costs one slice instead of a hash map.
-type block struct {
-	nodes   []int
-	minNode int // smallest source id, for deterministic ordering
 }
 
 // bipartiteBlocks partitions (a subset of) the current sources into
 // maximal connected bipartite building blocks: closures in which every
 // parent of every reached sink is itself a current source. Sources whose
 // closure touches an interior (non-source) parent are left for the
-// general path. Isolated sources form trivial single-node blocks.
-func (d *decomposer) bipartiteBlocks(sources []int) []*block {
+// general path. Isolated sources form trivial single-node blocks. The
+// blocks land in d.blocks, ordered by smallest source, over nodes in
+// d.blockNodes; it reports whether there is any.
+func (d *decomposer) bipartiteBlocks(sources []int) bool {
 	for _, s := range sources {
 		d.isSource[s] = true
 	}
-	var blocks []*block
+	// A round's blocks are disjoint sets of alive nodes grown from
+	// distinct sources, so both scratch slices are sized once. Each
+	// closure grows at the tail of blockNodes and is truncated away when
+	// it fails, so failed attempts cost no allocations.
+	if cap(d.blocks) < len(sources) {
+		d.blocks = make([]span, 0, len(sources))
+	}
+	if d.blockNodes == nil {
+		d.blockNodes = make([]int, 0, d.aliveCount)
+	}
+	d.blocks = d.blocks[:0]
+	buf := d.blockNodes[:0]
 	for _, s := range sources {
 		if d.assigned[s] {
 			continue
 		}
-		// The closure grows in reusable scratch and is copied out only
-		// when it succeeds, so failed attempts cost no allocations.
-		buf := append(d.blockBuf[:0], s)
-		srcs := append(d.srcsBuf[:0], s)
+		lo := len(buf)
+		buf = append(buf, s)
+		srcs := append(d.srcQueue[:0], s)
 		minNode := s
 		d.inBlock[s] = true
 		ok := true
@@ -267,48 +383,52 @@ func (d *decomposer) bipartiteBlocks(sources []int) []*block {
 		for _, u := range srcs {
 			d.assigned[u] = true
 		}
-		for _, v := range buf {
+		for _, v := range buf[lo:] {
 			d.inBlock[v] = false
 		}
-		d.blockBuf, d.srcsBuf = buf, srcs
+		d.srcQueue = srcs
 		if ok {
-			nodes := make([]int, len(buf))
-			copy(nodes, buf)
-			blocks = append(blocks, &block{nodes: nodes, minNode: minNode})
+			d.blocks = append(d.blocks, span{lo: lo, hi: len(buf), minNode: minNode})
+		} else {
+			buf = buf[:lo]
 		}
 	}
+	d.blockNodes = buf
 	for _, s := range sources {
 		d.isSource[s] = false
 		d.assigned[s] = false
 	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i].minNode < blocks[j].minNode })
-	return blocks
+	slices.SortFunc(d.blocks, func(a, b span) int { return a.minNode - b.minNode })
+	return len(d.blocks) > 0
 }
 
 // minimalClosure computes the closure C(s) for every current source and
 // returns a containment-minimal one (smallest size, ties broken by
 // smallest source id). One component per round: detaching it can expose
-// new sources that change the other closures.
-func (d *decomposer) minimalClosure(sources []int) *block {
-	var best *block
+// new sources that change the other closures. The result is scratch,
+// valid until the next call.
+func (d *decomposer) minimalClosure(sources []int) []int {
+	best, bestMin := d.bestBuf[:0], -1
 	for _, s := range sources {
-		c := d.closure(s)
-		if best == nil || len(c.nodes) < len(best.nodes) ||
-			(len(c.nodes) == len(best.nodes) && c.minNode < best.minNode) {
-			best = c
+		c, minNode := d.closure(s, d.closeBuf[:0])
+		if bestMin == -1 || len(c) < len(best) || (len(c) == len(best) && minNode < bestMin) {
+			best, c, bestMin = c, best, minNode
 		}
+		d.closeBuf = c
 	}
+	d.bestBuf = best
 	return best
 }
 
-// closure computes C(s) per the paper's BFS-like algorithm: S starts as
-// {s}; children of S-jobs join T; parents of T-jobs join T; T-jobs that
-// are sources of the remnant move to S; repeat to fixpoint.
-func (d *decomposer) closure(s int) *block {
-	b := &block{nodes: []int{s}, minNode: s}
+// closure computes C(s) per the paper's BFS-like algorithm, appending
+// its nodes to buf: S starts as {s}; children of S-jobs join T; parents
+// of T-jobs join T; T-jobs that are sources of the remnant move to S;
+// repeat to fixpoint. It also returns the smallest source in C(s).
+func (d *decomposer) closure(s int, buf []int) ([]int, int) {
+	nodes, minNode := append(buf, s), s
 	d.inBlock[s] = true
-	srcQueue := []int{s} // S jobs whose children still need expanding
-	tQueue := []int{}    // T jobs whose parents still need expanding
+	srcQueue := append(d.srcQueue[:0], s) // S jobs whose children still need expanding
+	tQueue := d.tQueue[:0]                // T jobs whose parents still need expanding
 	for len(srcQueue) > 0 || len(tQueue) > 0 {
 		if len(srcQueue) > 0 {
 			u := srcQueue[len(srcQueue)-1]
@@ -316,7 +436,7 @@ func (d *decomposer) closure(s int) *block {
 			for _, c := range d.g.Children(u) {
 				if d.alive[c] && !d.inBlock[c] {
 					d.inBlock[c] = true
-					b.nodes = append(b.nodes, int(c))
+					nodes = append(nodes, int(c))
 					tQueue = append(tQueue, int(c))
 				}
 			}
@@ -326,40 +446,38 @@ func (d *decomposer) closure(s int) *block {
 		tQueue = tQueue[:len(tQueue)-1]
 		// T members that are sources of the remnant behave as S members.
 		if d.inAlive[t] == 0 {
-			if t < b.minNode {
-				b.minNode = t
+			if t < minNode {
+				minNode = t
 			}
 			srcQueue = append(srcQueue, t)
 		}
 		for _, p := range d.g.Parents(t) {
 			if d.alive[p] && !d.inBlock[p] {
 				d.inBlock[p] = true
-				b.nodes = append(b.nodes, int(p))
+				nodes = append(nodes, int(p))
 				tQueue = append(tQueue, int(p))
 			}
 		}
 	}
-	for _, v := range b.nodes {
+	for _, v := range nodes {
 		d.inBlock[v] = false
 	}
-	return b
+	d.srcQueue, d.tQueue = srcQueue, tQueue
+	return nodes, minNode
 }
 
 // isBipartiteSet reports whether the node set forms a two-level dag in
 // the remnant (every alive arc inside runs source -> sink).
-func (d *decomposer) isBipartiteSet(b *block) bool {
-	if b == nil {
-		return false
-	}
-	for _, v := range b.nodes {
+func (d *decomposer) isBipartiteSet(nodes []int) bool {
+	for _, v := range nodes {
 		d.inBlock[v] = true
 	}
 	defer func() {
-		for _, v := range b.nodes {
+		for _, v := range nodes {
 			d.inBlock[v] = false
 		}
 	}()
-	for _, v := range b.nodes {
+	for _, v := range nodes {
 		hasChildIn := false
 		for _, c := range d.g.Children(v) {
 			if d.alive[c] && d.inBlock[c] {
@@ -377,98 +495,55 @@ func (d *decomposer) isBipartiteSet(b *block) bool {
 	return true
 }
 
-// detach finalizes a block as a component: builds the induced subgraph,
-// records superdag arcs from prior owners, and removes the component's
-// non-sinks plus those of its sinks that are sinks of the whole dag.
-func (d *decomposer) detach(b *block, bipartite, fastPath bool) {
-	// The block is dead after detachment, so its node list is sorted in
-	// place and adopted as the component's, with no copy.
-	nodes := b.nodes
-	sort.Ints(nodes)
+// detach finalizes a block as a component: records its membership,
+// counts its induced arcs (those whose both endpoints are alive
+// members), and removes the component's non-sinks plus those
+// of its sinks that are sinks of the whole dag. The order of nodes does
+// not matter: cutWindows lists members by index.
+func (d *decomposer) detach(nodes []int, bipartite, fastPath bool) {
+	index := int32(len(d.kinds))
+	for _, v := range nodes {
+		if prev := d.owner[v]; prev != -1 && prev != index {
+			if d.first[v] != -1 {
+				panic(fmt.Sprintf("decompose: node %d in a third component", v))
+			}
+			d.first[v] = prev
+			d.shared++
+		}
+		d.owner[v] = index
+	}
 
-	sub, orig := d.inducedAlive(nodes)
-	comp := &Component{
-		Index:     len(d.result.Components),
-		Nodes:     nodes,
-		Sub:       sub,
-		Orig:      orig,
-		Bipartite: bipartite,
-		FastPath:  fastPath,
+	// Out-degrees inside the component, all taken before any removal.
+	for _, v := range nodes {
+		d.inBlock[v] = true
 	}
 	for _, v := range nodes {
-		if prev := d.owner[v]; prev != -1 && prev != comp.Index {
-			d.addSuperArc(prev, comp.Index)
+		var deg int32
+		for _, c := range d.g.Children(v) {
+			if d.alive[c] && d.inBlock[c] {
+				deg++
+			}
 		}
-		d.owner[v] = comp.Index
+		d.mark[v] = deg
+		d.arcs += int(deg)
+	}
+	for _, v := range nodes {
+		d.inBlock[v] = false
 	}
 
 	// Classify each node within the component and remove what detaches.
-	for i, v := range orig {
-		if sub.OutDegree(i) > 0 {
-			comp.NonSinkCount++
-			d.result.ScheduledIn[v] = comp.Index
+	for _, v := range nodes {
+		if d.mark[v] > 0 {
+			d.result.ScheduledIn[v] = int(index)
 			d.remove(v)
 		} else if d.outAlive[v] == 0 {
 			// Sink of the component and of the whole dag: deferred to
 			// the final all-sinks phase, removed from the remnant now.
 			d.remove(v)
 		}
-	}
-	d.result.Components = append(d.result.Components, comp)
-}
-
-// inducedAlive builds the subgraph induced by nodes, keeping only arcs
-// whose both endpoints are alive members of the set. The subgraph is
-// assembled directly in CSR form — names are shared with the reduced
-// dag and the only per-component allocations are the frozen arrays
-// themselves (the membership scratch is reused across components).
-func (d *decomposer) inducedAlive(nodes []int) (*dag.Frozen, []int) {
-	n := len(nodes)
-	for i, v := range nodes {
-		d.mark[v] = int32(i)
-	}
-	names := make([]string, n)
-	var m int32
-	for _, v := range nodes {
-		for _, c := range d.g.Children(v) {
-			if d.alive[c] && d.mark[c] >= 0 {
-				m++
-			}
-		}
-	}
-	// childStart and the arena share one backing array: FromCSR takes
-	// ownership of both anyway, and a single allocation per component is
-	// measurably cheaper on dags that decompose into tens of thousands
-	// of tiny components.
-	backing := make([]int32, int32(n+1)+2*m)
-	childStart, arena := backing[:n+1], backing[n+1:]
-	m = 0
-	for i, v := range nodes {
-		names[i] = d.g.Name(v)
-		for _, c := range d.g.Children(v) {
-			if d.alive[c] && d.mark[c] >= 0 {
-				m++
-			}
-		}
-		childStart[i+1] = m
-	}
-	for i, v := range nodes {
-		next := childStart[i]
-		for _, c := range d.g.Children(v) {
-			if d.alive[c] && d.mark[c] >= 0 {
-				arena[next] = d.mark[c]
-				next++
-			}
-		}
-	}
-	for _, v := range nodes {
 		d.mark[v] = -1
 	}
-	sub, err := dag.FromCSR(names, childStart, arena)
-	if err != nil {
-		panic(err) // unreachable: an induced subgraph of a dag is a dag
-	}
-	return sub, nodes
+	d.kinds = append(d.kinds, kind{bipartite: bipartite, fastPath: fastPath})
 }
 
 func (d *decomposer) remove(v int) {

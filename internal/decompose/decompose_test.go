@@ -24,7 +24,7 @@ func build(t testing.TB, nodes []string, arcs ...string) *dag.Frozen {
 	return b.MustFreeze()
 }
 
-func names(g *dag.Frozen, comp *Component) []string {
+func names(g *dag.Frozen, comp Component) []string {
 	var out []string
 	for _, v := range comp.Nodes {
 		out = append(out, g.Name(v))

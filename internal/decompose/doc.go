@@ -19,11 +19,15 @@
 // newDecomposer), to check that both detach the same components and to
 // time the Section 3.5 ablation in BenchmarkAblationFastPath.
 //
-// Component subgraphs are assembled directly in the dag core's CSR
-// form (dag.FromCSR) with names shared with the reduced dag, and the
-// closure search runs on reusable scratch, so decomposing a dag into
-// tens of thousands of components costs a small constant number of
-// allocations per component.
+// Components are windows over storage shared by the whole Result.
+// Peeling records only which components each job belongs to (at most
+// two: one that holds it as a sink it cannot yet detach, and the one
+// that schedules it or defers it as a dag sink). When peeling ends, one
+// pass lays out every component's members, names and local-index child
+// CSR back to back, and dag.FreezeBatch builds every Sub header into
+// one slice over those arrays. The closure search runs on reusable
+// scratch, so decomposing a dag into tens of thousands of components
+// costs a few hundred allocations in all, none per component.
 //
 // Step 1's transitive reduction can be memoized across pipeline stages
 // by supplying Options.ReduceCache (see dag.ReduceCache); core.Options
@@ -38,7 +42,10 @@
 // is ascending. Every superdag arc points from an earlier-detached
 // component to a later one, so the superdag is acyclic by construction.
 // A job appears as a non-sink of at most one component
-// (Result.ScheduledIn); dag-wide sinks have ScheduledIn == -1 and are
+// (Result.ScheduledIn), and in at most two components in all: a
+// closure takes in every alive parent of its sinks, so a sink left
+// alive has no alive parent and is scheduled by the next component
+// that reaches it. Dag-wide sinks have ScheduledIn == -1 and are
 // executed in the pipeline's final phase.
 //
 // # Concurrency contract
@@ -52,5 +59,5 @@
 // sequential — it is a peeling loop with a loop-carried remnant — while
 // the per-component work that follows is what fans out; Component
 // values are therefore read concurrently by the Recurse workers, and
-// nothing in this package mutates them after detach.
+// nothing in this package mutates them once Decompose returns.
 package decompose
