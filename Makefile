@@ -15,8 +15,7 @@ test:
 
 # The full gate: formatting, vet, the project's own analyzers (via the
 # lint target — one definition of the lint step), and the whole suite
-# under the race detector (exercises the parallel pipeline's
-# differential tests).
+# under the race detector.
 check: lint
 	@unformatted=$$(gofmt -l . | grep -v /testdata/ || true); \
 	if [ -n "$$unformatted" ]; then \
@@ -25,8 +24,9 @@ check: lint
 	$(GO) vet ./...
 	$(MAKE) check-race
 
-# Full suite under the race detector — every package, not just the
-# parallel pipeline's (compare `race` below). CI's "test (race)" step
+# Full suite under the race detector: the shared-Cache, sweep-engine,
+# multi-file prio and daemon concurrency tests among the rest (compare
+# `race` below, the quick sim + core subset). CI's "test (race)" step
 # runs this target so local and CI gates cannot drift.
 check-race:
 	$(GO) test -race ./...
@@ -179,7 +179,6 @@ examples:
 	$(GO) run ./examples/theory
 	$(GO) run ./examples/dagmanfile
 	$(GO) run ./examples/sweep
-	$(GO) run ./examples/parallel
 	$(GO) run ./examples/airsn
 
 clean:

@@ -151,38 +151,6 @@ func BenchmarkPolicies(b *testing.B) {
 	}
 }
 
-// The parallel, memoized pipeline: end-to-end prioritization of a
-// Montage-like multi-component dag (workloads.TileField), sequential
-// reference versus the fanned-out Recurse phase versus the
-// component-signature cache. Run with
-//
-//	go test . -bench ParallelPipeline -benchtime 5x
-//
-// The differential tests in internal/core prove every variant emits a
-// bit-identical schedule; these benchmarks record the speedup.
-func BenchmarkParallelPipeline(b *testing.B) {
-	g := workloads.TileField(rng.New(11), 96, 120, 180, 12, false)
-	b.Logf("nodes=%d arcs=%d", g.NumNodes(), g.NumArcs())
-	run := func(opts core.Options) func(*testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				core.PrioritizeOpts(g, opts)
-			}
-		}
-	}
-	b.Run("sequential", run(core.Options{}))
-	b.Run("parallel2", run(core.Options{Parallel: 2}))
-	b.Run("parallel4", run(core.Options{Parallel: 4}))
-	b.Run("parallelAll", run(core.Options{Parallel: -1}))
-	b.Run("parallel4+cache", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			core.PrioritizeOpts(g, core.Options{Parallel: 4, Cache: core.NewCache()})
-		}
-	})
-}
-
 // The memo cache on a repeated-shape field: every tile is the same
 // shape, the situation of SDSS's thousands of identical chains. The
 // warm case additionally reuses the cache (and its embedded transitive

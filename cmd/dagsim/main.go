@@ -8,13 +8,10 @@
 // Usage:
 //
 //	dagsim -dag workflow.dag [-policy prio] [-bit 1] [-bs 16]
-//	       [-seed 1] [-trace] [-maxevents 200]
-//	       [-parallel N] [-cache]
+//	       [-seed 1] [-trace] [-maxevents 200] [-cache]
 //
-// -parallel and -cache tune the PRIO scheduling pipeline that backs the
-// prio policies: -parallel N fans the per-component Recurse phase over
-// N workers (1 = sequential reference, <=0 = all CPUs) and -cache
-// memoizes component schedules and the transitive reduction. Both leave
+// -cache memoizes component schedules and the transitive reduction in
+// the PRIO scheduling pipeline that backs the prio policies. It leaves
 // the schedule — and therefore the simulation — bit-identical.
 package main
 
@@ -49,7 +46,6 @@ func run(args []string, w io.Writer) error {
 	fail := fs.Float64("fail", 0, "per-assignment worker failure probability")
 	trace := fs.Bool("trace", false, "print the event trace")
 	maxEvents := fs.Int("maxevents", 200, "truncate the trace after this many events (0 = unlimited)")
-	parallel := fs.Int("parallel", 1, "Recurse-phase worker count for the prio pipeline (1 = sequential reference, <=0 = all CPUs)")
 	useCache := fs.Bool("cache", false, "memoize component schedules and the transitive reduction in the prio pipeline")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -59,10 +55,7 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	copts := core.Options{Parallel: *parallel}
-	if *parallel <= 0 {
-		copts.Parallel = -1 // one worker per logical CPU
-	}
+	var copts core.Options
 	if *useCache {
 		copts.Cache = core.NewCache()
 	}

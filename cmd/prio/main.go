@@ -12,15 +12,16 @@
 //	-submit      also instrument the referenced JSDFs in place
 //	-dot file    write the prioritized dag in Graphviz format
 //	-stats       print scheduling statistics to stderr
-//	-parallel N  Recurse-phase workers (1 = sequential reference; <=0 = all CPUs)
 //	-cache       memoize component schedules and the transitive reduction
 //	-theoretical report whether the idealized Section 2.2 algorithm handles the dag
 //	-explain j   explain the priority of job j (comma list) on stderr
 //
 // Several DAGMan files may be given with -inplace; they are prioritized
-// in parallel, each through the same per-file pipeline as a single
-// input. -o, -dot, -explain and -theoretical name one file's outputs,
-// so prio rejects them with several inputs, and -o with -inplace.
+// concurrently, each through the same per-file pipeline as a single
+// input. With -submit, each distinct JSDF is instrumented once, after
+// every DAGMan file is written, however many inputs share it. -o, -dot,
+// -explain and -theoretical name one file's outputs, so prio rejects
+// them with several inputs, and -o with -inplace.
 package main
 
 import (
@@ -31,6 +32,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -54,7 +56,6 @@ func run(args []string, w io.Writer) error {
 	submit := fs.Bool("submit", false, "also instrument referenced submit description files in place")
 	dotOut := fs.String("dot", "", "write the prioritized dag in Graphviz dot format")
 	showStats := fs.Bool("stats", false, "print scheduling statistics to stderr")
-	parallel := fs.Int("parallel", 1, "Recurse-phase worker count (1 = sequential reference, <=0 = all CPUs)")
 	useCache := fs.Bool("cache", false, "memoize component schedules and the transitive reduction")
 	theoretical := fs.Bool("theoretical", false, "also report whether the idealized Section 2.2 algorithm handles this dag")
 	explain := fs.String("explain", "", "explain the priority assigned to this job (comma list of job names)")
@@ -82,10 +83,7 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 
-	c := &config{out: *out, inplace: *inplace, submit: *submit, opts: core.Options{Parallel: *parallel}}
-	if *parallel <= 0 {
-		c.opts.Parallel = -1 // one worker per logical CPU
-	}
+	c := &config{out: *out, inplace: *inplace, submit: *submit}
 	if *useCache {
 		c.opts.Cache = core.NewCache()
 	}
@@ -94,8 +92,11 @@ func run(args []string, w io.Writer) error {
 	}
 
 	input := inputs[0]
-	sched, elapsed, err := c.prioritizeFile(input, w)
+	sched, submits, elapsed, err := c.prioritizeFile(input, w)
 	if err != nil {
+		return err
+	}
+	if err := instrumentSubmitFiles(submits); err != nil {
 		return err
 	}
 	g := sched.Graph
@@ -142,25 +143,25 @@ type config struct {
 // prioritizeFile runs the pipeline on one DAGMan file — parse, flatten
 // any splices, freeze the graph, prioritize, instrument — and writes
 // the instrumented text over the input with -inplace, to -o's path
-// when one is given, and to w otherwise. With -submit it also
-// instruments the referenced submit files. It returns the schedule and
-// the time prioritization took.
-func (c *config) prioritizeFile(input string, w io.Writer) (*core.Schedule, time.Duration, error) {
+// when one is given, and to w otherwise. It returns the schedule, with
+// -submit the JSDFs the file references (for the caller to instrument
+// once every DAGMan file is written), and the time prioritization took.
+func (c *config) prioritizeFile(input string, w io.Writer) (*core.Schedule, []submitRef, time.Duration, error) {
 	f, err := dagman.ParseFile(input)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	if len(f.Splices) > 0 {
 		// Spliced workflows are flattened first; the instrumented output
 		// is the flattened file, which is what DAGMan executes anyway.
 		f, err = f.Flatten(dagman.LoadSplice(filepath.Dir(input)))
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, 0, err
 		}
 	}
 	g, err := f.Graph()
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	start := time.Now()
 	sched := core.PrioritizeOpts(g, c.opts)
@@ -176,23 +177,28 @@ func (c *config) prioritizeFile(input string, w io.Writer) (*core.Schedule, time
 		_, err = w.Write(text)
 	}
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
+	var submits []submitRef
 	if c.submit {
-		if err := instrumentSubmitFiles(f, filepath.Dir(input)); err != nil {
-			return nil, 0, err
+		if submits, err = submitRefs(f, input); err != nil {
+			return nil, nil, 0, err
 		}
 	}
-	return sched, elapsed, nil
+	return sched, submits, elapsed, nil
 }
 
 // runParallel prioritizes several DAGMan files concurrently, rewriting
 // each in place. With -cache one schedule cache (and its embedded
 // reduction cache) is shared by every file, so repeated component
-// shapes across a batch of workflows are scheduled once.
+// shapes across a batch of workflows are scheduled once. With -submit
+// the JSDFs of the whole batch are instrumented afterwards, each
+// distinct one once: two goroutines rewriting a shared JSDF could
+// otherwise interleave their reads and writes and lose its contents.
 func runParallel(inputs []string, c *config, showStats bool) error {
 	var wg sync.WaitGroup
 	errs := make([]error, len(inputs))
+	submits := make([][]submitRef, len(inputs))
 	sem := make(chan struct{}, runtime.NumCPU())
 	start := time.Now()
 	for i, input := range inputs {
@@ -201,12 +207,14 @@ func runParallel(inputs []string, c *config, showStats bool) error {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if _, _, err := c.prioritizeFile(input, nil); err != nil {
+			var err error
+			if _, submits[i], _, err = c.prioritizeFile(input, nil); err != nil {
 				errs[i] = fmt.Errorf("%s: %w", input, err)
 			}
 		}(i, input)
 	}
 	wg.Wait()
+	errs = append(errs, instrumentSubmitFiles(slices.Concat(submits...)))
 	// Report every failed input, not just the first: with -inplace the
 	// successful files have already been rewritten, so the caller needs
 	// the full list of the ones that were not.
@@ -220,30 +228,55 @@ func runParallel(inputs []string, c *config, showStats bool) error {
 	return nil
 }
 
-// instrumentSubmitFiles rewrites each distinct JSDF referenced by the
-// DAGMan file with a priority = $(jobpriority) attribute. Paths are
-// resolved relative to the DAGMan file's directory.
-func instrumentSubmitFiles(f *dagman.File, dir string) error {
-	done := make(map[string]bool)
+// submitRef is one JSDF reference: the file's absolute path, and for
+// error messages the DAGMan file and job that name it.
+type submitRef struct{ path, input, job string }
+
+// submitRefs lists the JSDFs the DAGMan file input references, one ref
+// per distinct name. Relative paths are resolved against input's
+// directory.
+func submitRefs(f *dagman.File, input string) ([]submitRef, error) {
+	var refs []submitRef
+	seen := make(map[string]bool)
 	for _, j := range f.Jobs {
-		path := j.SubmitFile
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(dir, path)
-		}
-		if done[path] {
+		if seen[j.SubmitFile] {
 			continue
 		}
-		done[path] = true
-		sf, err := dagman.ParseSubmitFile(path)
-		if err != nil {
-			return fmt.Errorf("submit file for job %s: %w", j.Name, err)
+		seen[j.SubmitFile] = true
+		path := j.SubmitFile
+		if !filepath.IsAbs(path) {
+			path = filepath.Join(filepath.Dir(input), path)
 		}
-		sf.InstrumentPriority()
-		if err := os.WriteFile(path, []byte(sf.String()), 0o644); err != nil {
-			return err
+		abs, err := filepath.Abs(path)
+		if err != nil {
+			return nil, err
+		}
+		refs = append(refs, submitRef{abs, input, j.Name})
+	}
+	return refs, nil
+}
+
+// instrumentSubmitFiles rewrites each distinct JSDF in refs, once, with
+// a priority = $(jobpriority) attribute. It reports every JSDF it could
+// not rewrite, not just the first.
+func instrumentSubmitFiles(refs []submitRef) error {
+	done := make(map[string]bool)
+	var errs []error
+	for _, r := range refs {
+		if done[r.path] {
+			continue
+		}
+		done[r.path] = true
+		sf, err := dagman.ParseSubmitFile(r.path)
+		if err == nil {
+			sf.InstrumentPriority()
+			err = os.WriteFile(r.path, []byte(sf.String()), 0o644)
+		}
+		if err != nil {
+			errs = append(errs, fmt.Errorf("%s: submit file for job %s: %w", r.input, r.job, err))
 		}
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // printCacheStats reports the -cache counters; without -cache it prints

@@ -202,6 +202,55 @@ func TestRunMultipleFilesParallel(t *testing.T) {
 	}
 }
 
+// TestRunMultipleFilesSharedSubmit: sixteen dags that share one JSDF,
+// rewritten by one -inplace -submit run, must leave the JSDF exactly as
+// a single-file run leaves it. Concurrent rewrites of a shared JSDF
+// lose its contents only on some interleavings, so the batch runs
+// twenty times.
+func TestRunMultipleFilesSharedSubmit(t *testing.T) {
+	const jsdf = "executable = work\narguments = $(args)\nrequest_memory = 2048\nqueue\n"
+	const text = "Job a shared.sub\nJob b shared.sub\nJob c shared.sub\nParent a Child b c\n"
+	batch := func(n int) (dir string, paths []string) {
+		dir = t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "shared.sub"), []byte(jsdf), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			p := filepath.Join(dir, fmt.Sprintf("w%d.dag", i))
+			if err := os.WriteFile(p, []byte(text), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			paths = append(paths, p)
+		}
+		return dir, paths
+	}
+	var out strings.Builder
+	dir, paths := batch(1)
+	if err := run([]string{"-inplace", "-submit", paths[0]}, &out); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(dir, "shared.sub"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(want), "priority = $(jobpriority)") || !strings.Contains(string(want), "request_memory") {
+		t.Fatalf("single-file run left the JSDF as:\n%s", want)
+	}
+	for iter := 0; iter < 20; iter++ {
+		dir, paths := batch(16)
+		if err := run(append([]string{"-inplace", "-submit"}, paths...), &out); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, "shared.sub"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("run %d: shared JSDF is\n%s\nwant\n%s", iter, got, want)
+		}
+	}
+}
+
 // TestRunAIRSNEndToEnd pushes the paper's full AIRSN dag through the
 // real tool surface: render the 773-job dag as a DAGMan input file, run
 // prio on it, and confirm the Fig. 5 bottleneck priority (753) in the

@@ -16,7 +16,6 @@
 //	-max-jobs N            parsed dag node cap (default 200000)
 //	-max-tenants N         live cache namespaces before LRU eviction (default 64)
 //	-max-replications N    p*q cap on /v1/simulate (default 25000)
-//	-parallel N            Recurse-phase workers per request (default 1)
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: in-flight
 // requests finish (up to 10s), new connections are refused.
@@ -60,7 +59,6 @@ func run(args []string, stop <-chan os.Signal) error {
 	maxJobs := fs.Int("max-jobs", 200_000, "parsed dag node cap")
 	maxTenants := fs.Int("max-tenants", 64, "live cache namespaces before LRU eviction")
 	maxReplications := fs.Int("max-replications", 25_000, "p*q cap on /v1/simulate")
-	parallel := fs.Int("parallel", 1, "Recurse-phase worker count per request")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -76,7 +74,6 @@ func run(args []string, stop <-chan os.Signal) error {
 		MaxJobs:         *maxJobs,
 		MaxTenants:      *maxTenants,
 		MaxReplications: *maxReplications,
-		Parallel:        *parallel,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

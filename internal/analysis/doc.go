@@ -31,8 +31,8 @@
 // # Why a linter instead of review discipline
 //
 // The advertised contract of the scheduling pipeline is that the
-// schedule is a deterministic function of the DAG: the parallel,
-// memoized pipeline is bit-identical to the sequential reference, and
+// schedule is a deterministic function of the DAG: the memoized
+// pipeline is bit-identical to the uncached one, and
 // simulator runs replay exactly given a seed. The paper's evaluation
 // compares PRIO against DAGMan's arbitrary order, so any hidden
 // nondeterminism in our pipeline would silently invalidate reproduced
@@ -53,7 +53,7 @@
 // reductions like min/max over values) are never flagged.
 //
 // Lock discipline (analyzer lockedfield). A struct field that is shared
-// by the parallel pipeline carries a declaration-site annotation naming
+// by concurrent callers carries a declaration-site annotation naming
 // the mutex that guards it:
 //
 //	type Cache struct {
@@ -120,13 +120,9 @@
 // is how long the first red test took:
 //
 //	mutation                                         red test
-//	drop wg.Wait: core scheduleComponents            TestParallelMatchesSequentialWorkloads
-//	drop wg.Wait: core precomputeAll                 TestPrecomputeAllJoins; -race: data race
 //	drop wg.Wait: sim engine, prio runParallel,      each package's output tests (engine golden,
 //	  prioload drive                                 TestRunMultipleFilesPartialFailure, TestLoadOutputFormat)
-//	core panics channel unbuffered                   TestRecurseComponentPanicPropagates (10 s)
-//	leaked goroutine at each of the 7 go statements  the package's join check (5 s): TestParallelRecurseJoins,
-//	                                                 TestPrecomputeAllJoins, TestCompareGridResumeJoins,
+//	leaked goroutine at each of the 5 go statements  the package's join check (5 s): TestCompareGridResumeJoins,
 //	                                                 TestRunMultipleFilesParallel, TestDaemonServesAndShutsDown,
 //	                                                 TestRunJoinsGoroutines (serve and client goroutines)
 //	acquire(context.Background()) in instrument      TestQueuedRequestCanceled (2 s)

@@ -1,5 +1,5 @@
 // Package lockedfield enforces the `// guarded by <mu>` annotation on
-// struct fields shared by the parallel pipeline: every selector access
+// struct fields shared by concurrent callers: every selector access
 // to an annotated field must happen in a function that locks the named
 // mutex, is marked as lock-held by the conventional "...Locked" name
 // suffix, or is a constructor of the struct. See repro/internal/analysis

@@ -35,8 +35,7 @@
 // The package holds no mutable state: Classify, Compose, and the
 // constructors are pure functions and safe to call from many goroutines
 // on distinct or shared (read-only) graphs. A Scratch holds one
-// caller's working storage for Scratch.Classify and must not be shared:
-// the parallel Recurse phase in package core gives each worker its
-// own, and classifies components concurrently with no synchronization
-// beyond the shared read-only inputs.
+// caller's working storage for Scratch.Classify and must not be shared
+// between goroutines: the Recurse phase in package core reuses one
+// across every component of a call.
 package bipartite

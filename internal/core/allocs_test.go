@@ -10,7 +10,7 @@ import (
 // Prioritize call on the paper's SDSS dag, which decomposes into 24,009
 // components. Components are windows over storage shared by the whole
 // decomposition, and the Recurse phase cuts every schedule and profile
-// from per-call slabs on per-worker scratch, so the count is a few
+// from per-call slabs on one reused scratch, so the count is a few
 // hundred per call. The pin is a share of the component count: one
 // allocation per component creeping back into Divide, Recurse or
 // Combine exceeds it many times over.

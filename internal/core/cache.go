@@ -23,10 +23,10 @@ import (
 // valid verbatim and the memoized pipeline is bit-identical to the
 // uncached one.
 //
-// A Cache is safe for concurrent use and is shared by all workers of
-// the parallel pipeline; it also embeds a dag.ReduceCache so repeated
-// prioritizations of the same graph share the Step 1 transitive
-// reduction. Cached Order/Profile slices are shared between schedules
+// A Cache is safe for concurrent use, so concurrent PrioritizeOpts
+// calls (priod's tenants) may share one. It also embeds a
+// dag.ReduceCache so repeated prioritizations of the same graph share
+// the Step 1 transitive reduction. Cached Order/Profile slices are shared between schedules
 // and must be treated as immutable (the pipeline only reads them).
 type Cache struct {
 	mu      sync.RWMutex

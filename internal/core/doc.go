@@ -28,7 +28,7 @@
 // followed by every dag sink, with Priority[v] = NumNodes - Rank[v]
 // matching Condor's larger-runs-first convention. Its Components are
 // one value slice whose Order and Profile windows are cut from two
-// per-call slabs, and the Recurse phase runs on per-worker scratch, so
+// per-call slabs, and the Recurse phase runs on one reused scratch, so
 // one call allocates a few hundred times however many components the
 // dag has (TestPrioritizeAllocsPerComponent pins this on SDSS).
 //
@@ -37,22 +37,18 @@
 // explanations, and the idealized Section 2.2 algorithm
 // (TheoreticalSchedule) with its honest failure modes.
 //
-// # Parallelism and memoization
+// # Memoization
 //
-// Options has exactly two fields, Parallel and Cache, and neither
-// changes a schedule bit.
-// The Recurse phase is embarrassingly parallel across components, and
-// Options.Parallel > 1 fans it — together with the pairwise r-priority
-// matrix fill — out over a bounded worker pool. Results are merged in
-// component-index order and profile interning stays sequential, so the
-// parallel output is bit-identical to the sequential reference (the
-// differential tests in parallel_test.go enforce this on every paper
-// workload and on random dags). Options.Parallel <= 1 keeps the
-// strictly sequential reference path.
-//
-// Options.Cache supplies a Cache that memoizes component schedules by
-// exact structural signature and transitive reductions by graph
-// fingerprint, within a run and across runs.
+// Options has one live field, Cache, and it changes no schedule bit.
+// (Parallel survives only as an ignored, deprecated field: the pipeline
+// is sequential. Its cost is paid once per workflow on the submit
+// path, and fanning the Recurse phase out over a worker pool lost to
+// the sequential loop on every paper dag.) Options.Cache supplies a
+// Cache that memoizes component schedules by exact structural
+// signature and transitive reductions by graph fingerprint, within a
+// run and across runs; the differential tests in cache_test.go and
+// FuzzSchedule hold the memoized output to the uncached one on every
+// paper workload and on random dags.
 //
 // # Concurrency contract
 //
@@ -60,10 +56,10 @@
 // PrioritizeOpts calls), and every pure function (PriorityR,
 // EligibilityTrace, FIFOSchedule, ...) on distinct arguments.
 // PrioritizeOpts itself may be called from many goroutines at once,
-// with or without a shared Cache; the worker pool it spawns is
-// internal. Not safe for concurrent use: profileTable (confined to one
-// pipeline invocation; the parallel matrix fill partitions it by row)
-// and a returned *Schedule, which is plain data — share it read-only.
-// A *dag.Frozen passed to this package is immutable by construction,
-// so the pipeline never copies or locks the graph it analyzes.
+// with or without a shared Cache, and starts no goroutines of its own.
+// Not safe for concurrent use: profileTable (confined to one pipeline
+// invocation) and a returned *Schedule, which is plain data — share it
+// read-only. A *dag.Frozen passed to this package is immutable by
+// construction, so the pipeline never copies or locks the graph it
+// analyzes.
 package core

@@ -36,8 +36,8 @@ func decodeDAG(data []byte) *dag.Frozen {
 
 // FuzzSchedule checks the pipeline's two contracts on arbitrary dags:
 // the schedule is a permutation of all jobs that respects every
-// precedence arc, and the parallel memoized configuration is
-// bit-identical to the sequential reference.
+// precedence arc, and the memoized configuration is bit-identical to
+// the uncached one.
 func FuzzSchedule(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{5})
@@ -49,16 +49,16 @@ func FuzzSchedule(f *testing.F) {
 		if g == nil {
 			return
 		}
-		seq := PrioritizeOpts(g, Options{})
-		if err := ValidateExecutionOrder(g, seq.Order); err != nil {
-			t.Fatalf("sequential schedule invalid on %v: %v\norder: %v", data, err, seq.Order)
+		ref := PrioritizeOpts(g, Options{})
+		if err := ValidateExecutionOrder(g, ref.Order); err != nil {
+			t.Fatalf("schedule invalid on %v: %v\norder: %v", data, err, ref.Order)
 		}
-		par := PrioritizeOpts(g, Options{Parallel: 4, Cache: NewCache()})
-		if !slices.Equal(par.Order, seq.Order) {
-			t.Fatalf("parallel order diverged on %v:\nseq: %v\npar: %v", data, seq.Order, par.Order)
+		cached := PrioritizeOpts(g, Options{Cache: NewCache()})
+		if !slices.Equal(cached.Order, ref.Order) {
+			t.Fatalf("cached order diverged on %v:\nref:    %v\ncached: %v", data, ref.Order, cached.Order)
 		}
-		if !slices.Equal(par.Priority, seq.Priority) {
-			t.Fatalf("parallel priorities diverged on %v:\nseq: %v\npar: %v", data, seq.Priority, par.Priority)
+		if !slices.Equal(cached.Priority, ref.Priority) {
+			t.Fatalf("cached priorities diverged on %v:\nref:    %v\ncached: %v", data, ref.Priority, cached.Priority)
 		}
 	})
 }

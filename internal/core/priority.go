@@ -2,8 +2,6 @@ package core
 
 import (
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitset"
 )
@@ -56,9 +54,8 @@ func PriorityR(ei, ej []int) float64 {
 // The pairwise cache is a dense matrix with a bitset of computed cells
 // per row: profile ids are small dense integers, so r(i, j) is two
 // slice indexes and one bit test instead of hashing a map key on every
-// Combine comparison. A profileTable is not safe for concurrent use;
-// the parallel pipeline interns profiles and consults r only from the
-// single merge goroutine.
+// Combine comparison. A profileTable is not safe for concurrent use; it
+// lives for one pipeline invocation.
 type profileTable struct {
 	ids      map[string]int
 	key      []byte // scratch: the key being looked up
@@ -104,60 +101,6 @@ func (pt *profileTable) r(i, j int) float64 {
 
 // numProfiles returns the number of distinct interned profiles.
 func (pt *profileTable) numProfiles() int { return len(pt.profiles) }
-
-// precomputeAll fills every cell of the pairwise priority matrix,
-// fanning rows out over `workers` goroutines. The Combine phase's
-// group-minimum rebuilds touch nearly every profile pair on wide
-// superdags, and each cell is a pure function of two interned profiles,
-// so precomputing the matrix parallelizes the pipeline's dominant cost
-// on many-distinct-component dags without changing a single value the
-// sequential path would produce. Each worker owns whole rows, so no two
-// goroutines share an rVals row or rDone set.
-func (pt *profileTable) precomputeAll(workers int) {
-	if len(pt.rDone) != len(pt.profiles) {
-		pt.growR()
-	}
-	n := len(pt.profiles)
-	if n == 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			pt.fillRow(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				pt.fillRow(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// fillRow computes every missing cell of row i.
-func (pt *profileTable) fillRow(i int) {
-	row, done := pt.rVals[i], pt.rDone[i]
-	for j := range row {
-		if !done.Contains(j) {
-			row[j] = PriorityR(pt.profiles[i], pt.profiles[j])
-			done.Add(j)
-		}
-	}
-}
 
 // growR resizes the dense pairwise cache to the current profile count,
 // preserving already-computed cells. In the pipeline all interning

@@ -8,30 +8,20 @@ import (
 	"repro/internal/decompose"
 )
 
-// Options tunes the prioritization pipeline; the zero value runs the
-// Recurse phase sequentially without memoization. Neither field
-// changes a schedule bit.
+// Options tunes the prioritization pipeline; the zero value runs it
+// without memoization. No field changes a schedule bit.
 type Options struct {
-	// Parallel sets the Recurse-phase worker count: 0 or 1 runs the
-	// sequential reference path (so the zero Options value stays the
-	// reference configuration), values above 1 fan the per-component
-	// work out over that many goroutines, and negative values use one
-	// worker per logical CPU. The parallel output is bit-identical to
-	// the sequential output (the differential tests enforce this).
+	// Parallel is ignored: the pipeline always runs sequentially.
+	//
+	// Deprecated: ignored. perfbench, which changes only together with
+	// the benchmark it defines, still sets it; the field is deleted
+	// with the next benchmark change.
 	Parallel int
 	// Cache, when non-nil, memoizes component schedules by exact
 	// structural signature and transitive reductions by graph
 	// fingerprint, across components and across calls. The same Cache
 	// may be shared by concurrent PrioritizeOpts calls.
 	Cache *Cache
-}
-
-// workers returns the Recurse worker count encoded by Parallel.
-func (o Options) workers() int {
-	if o.Parallel == 0 {
-		return 1
-	}
-	return recurseWorkers(o.Parallel)
 }
 
 // ComponentSchedule is the Recurse-phase result for one component.
@@ -87,26 +77,16 @@ func Prioritize(g *dag.Frozen) *Schedule { return PrioritizeOpts(g, Options{}) }
 func PrioritizeOpts(g *dag.Frozen, opts Options) *Schedule {
 	dec := decompose.DecomposeOpts(g, decompose.Options{ReduceCache: opts.Cache.ReduceCache()})
 
-	// Recurse: per-component schedules, fanned out when requested.
-	comps := scheduleComponents(dec.Components, opts.workers(), opts.Cache)
+	// Recurse: per-component schedules.
+	comps := scheduleComponents(dec.Components, opts.Cache)
 
-	// Profile interning is sequential and in component order, so ids —
-	// and therefore the Combine phase — never depend on worker timing.
+	// Profiles are interned in component order, so ids — and therefore
+	// the Combine phase — depend only on the decomposition.
 	pt := newProfileTable()
 	pids := make([]int, len(comps))
 	for i := range comps {
 		comps[i].ProfileID = pt.intern(comps[i].Profile)
 		pids[i] = comps[i].ProfileID
-	}
-
-	// In parallel mode, fill the pairwise r-priority matrix up front
-	// across the workers; Combine then only reads cached cells. The
-	// values are pure functions of the interned profiles, so this is
-	// invisible in the output. The sequential reference keeps the lazy
-	// evaluation, which computes only the pairs Combine actually asks
-	// for.
-	if w := opts.workers(); w > 1 {
-		pt.precomputeAll(w)
 	}
 
 	compOrder := combineOrder(dec.Super, pids, pt)

@@ -54,10 +54,6 @@
 // graph (it is read, never written) and may be called from many
 // goroutines, including with a shared Options.ReduceCache, which is
 // safe for concurrent use. A *Result and its Components are plain data
-// produced by a single call: share them read-only. In the parallel
-// pipeline (core.Options.Parallel) the Divide phase itself stays
-// sequential — it is a peeling loop with a loop-carried remnant — while
-// the per-component work that follows is what fans out; Component
-// values are therefore read concurrently by the Recurse workers, and
-// nothing in this package mutates them once Decompose returns.
+// produced by a single call: share them read-only; nothing in this
+// package mutates them once Decompose returns.
 package decompose

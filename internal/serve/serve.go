@@ -47,10 +47,6 @@ type Config struct {
 	// MaxTenants bounds live cache namespaces (default 64); beyond it
 	// the least-recently-used namespace is evicted.
 	MaxTenants int
-	// Parallel is core.Options.Parallel for every request (default 1:
-	// with MaxInFlight requests already saturating the CPUs,
-	// intra-request fan-out buys nothing and costs scheduling jitter).
-	Parallel int
 	// MaxReplications caps P*Q on /v1/simulate (default 25000).
 	MaxReplications int
 }
@@ -73,9 +69,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTenants <= 0 {
 		c.MaxTenants = 64
-	}
-	if c.Parallel == 0 {
-		c.Parallel = 1
 	}
 	if c.MaxReplications <= 0 {
 		c.MaxReplications = 25_000
@@ -280,7 +273,7 @@ func (s *Server) handlePrioritize(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	opts := core.Options{Parallel: s.cfg.Parallel, Cache: s.tenants.get(tenantName(r))}
+	opts := core.Options{Cache: s.tenants.get(tenantName(r))}
 	sched := core.PrioritizeOpts(g, opts)
 
 	if format == "dag" {
@@ -455,7 +448,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	opts := core.Options{Parallel: s.cfg.Parallel, Cache: s.tenants.get(tenantName(r))}
+	opts := core.Options{Cache: s.tenants.get(tenantName(r))}
 	factoryA, err := sim.PolicyFactoryOpts(polA, g, opts)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "policy_a: "+err.Error())

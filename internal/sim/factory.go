@@ -36,8 +36,7 @@ func PolicyFactory(name string, g *dag.Frozen) (func() Policy, error) {
 
 // PolicyFactoryOpts is PolicyFactory with explicit pipeline options for
 // the PRIO-based policies, so the simulator harnesses can use the
-// parallel Recurse phase and the schedule cache (dagsim -parallel
-// -cache). Schedules are computed once per factory, up front; the
+// schedule cache (dagsim -cache). Schedules are computed once per factory, up front; the
 // returned constructors never run the pipeline again.
 func PolicyFactoryOpts(name string, g *dag.Frozen, opts core.Options) (func() Policy, error) {
 	switch {

@@ -433,16 +433,16 @@ func Layered(r *rng.Source, layers, width int, p float64) *dag.Frozen {
 	return g.MustFreeze()
 }
 
-// TileField builds a Montage-like multi-component dag for the parallel
-// pipeline benchmarks and examples: `tiles` independent difference
-// components (one per sky tile), each a connected bipartite block of s
-// projected-image sources fanning out into overlapping difference-job
-// sinks (each source feeds 2..k random sinks out of t). Out-degrees
-// vary, so the blocks match none of the Fig. 2 families and the Recurse
-// phase pays the full classify + outdegree-order + trace cost per tile
-// — the per-component work that Options.Parallel fans out. Tiles are
-// structurally independent draws unless sharedShapes is true, in which
-// case every tile repeats the same shape and a core.Cache collapses the
+// TileField builds a Montage-like multi-component dag for the
+// schedule-cache benchmark, the scale tests and the priod load mix:
+// `tiles` independent difference components (one per sky tile), each a
+// connected bipartite block of s projected-image sources fanning out
+// into overlapping difference-job sinks (each source feeds 2..k random
+// sinks out of t). Out-degrees vary, so the blocks match none of the
+// Fig. 2 families and the Recurse phase pays the full classify +
+// outdegree-order + trace cost per tile. Tiles are structurally
+// independent draws unless sharedShapes is true, in which case every
+// tile repeats the same shape and a core.Cache collapses the
 // Recurse phase to a single computation.
 func TileField(r *rng.Source, tiles, s, t, k int, sharedShapes bool) *dag.Frozen {
 	if tiles < 1 || s < 1 || t < 1 || k < 2 {
