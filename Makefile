@@ -145,12 +145,15 @@ fuzz:
 	$(GO) test ./internal/core -fuzz FuzzSchedule -fuzztime 30s
 	$(GO) test ./internal/sim -fuzz FuzzKernelReplication -fuzztime 30s
 	$(GO) test ./internal/serve -fuzz FuzzPrioritizeRequest -fuzztime 30s
+	$(GO) test ./internal/dag -fuzz FuzzShortcutArcs -fuzztime 30s
+	$(GO) test ./internal/decompose -fuzz FuzzGeneralRound -fuzztime 30s
 
 # Short fuzz pass for CI: 10s per target on the invariants that matter
 # most (parser round-trip, the parser against its reference oracle,
 # instrumentation rewrite safety, schedule validity/determinism,
 # pooled-kernel equivalence, response determinism and well-formedness
-# through the real mux).
+# through the real mux, and Divide's shortcut search and general round
+# against their test-only oracles).
 fuzz-smoke:
 	$(GO) test ./internal/dagman -run xxx -fuzz FuzzParseDAGMan -fuzztime 10s
 	$(GO) test ./internal/dagman -run xxx -fuzz 'FuzzParseOracle$$' -fuzztime 10s
@@ -158,6 +161,8 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run xxx -fuzz FuzzSchedule -fuzztime 10s
 	$(GO) test ./internal/sim -run xxx -fuzz FuzzKernelReplication -fuzztime 10s
 	$(GO) test ./internal/serve -run xxx -fuzz FuzzPrioritizeRequest -fuzztime 10s
+	$(GO) test ./internal/dag -run xxx -fuzz FuzzShortcutArcs -fuzztime 10s
+	$(GO) test ./internal/decompose -run xxx -fuzz FuzzGeneralRound -fuzztime 10s
 
 # Regenerate the Figures 6-9 sweeps, the Fig. 4 eligibility summaries
 # and the Section 3.6 overhead table (BenchmarkOverhead) into results/

@@ -75,6 +75,67 @@ func TestRunOutputFileAndSubmit(t *testing.T) {
 	}
 }
 
+// A JSDF that sets priority twice: HTCondor keeps the last
+// assignment, so -submit must rewrite both, and a second run must leave
+// the file as the first left it.
+func TestRunSubmitRewritesEveryPriority(t *testing.T) {
+	dir, dagPath := writeInput(t)
+	subPath := filepath.Join(dir, "c.sub")
+	if err := os.WriteFile(subPath, []byte("executable = w\npriority = 1\narguments = x\npriority = 2\nqueue\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := "executable = w\npriority = $(jobpriority)\narguments = x\npriority = $(jobpriority)\nqueue\n"
+	for pass := 1; pass <= 2; pass++ {
+		var stdout strings.Builder
+		if err := run([]string{"-o", filepath.Join(dir, "out.dag"), "-submit", dagPath}, &stdout); err != nil {
+			t.Fatal(err)
+		}
+		sub, err := os.ReadFile(subPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(sub) != want {
+			t.Fatalf("run %d left c.sub as\n%q\nwant\n%q", pass, sub, want)
+		}
+	}
+}
+
+// The DAGMan manual's diamond spells its jobs NODE. prio must accept it
+// and give every job the priority it gets when the same file says JOB.
+func TestRunNodeSpelling(t *testing.T) {
+	const diamond = `# File name: diamond.dag
+NODE  A  A.sub
+NODE  B  B.sub
+NODE  C  C.sub
+NODE  D  D.sub
+PARENT A CHILD B C
+PARENT B C CHILD D
+`
+	prios := func(text string) map[string]string {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "diamond.dag")
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		if err := run([]string{path}, &out); err != nil {
+			t.Fatal(err)
+		}
+		got := make(map[string]string)
+		for _, ln := range strings.Split(out.String(), "\n") {
+			var job, p string
+			if n, _ := fmt.Sscanf(ln, "Vars %s jobpriority=%s", &job, &p); n == 2 {
+				got[job] = p
+			}
+		}
+		return got
+	}
+	node, job := prios(diamond), prios(strings.ReplaceAll(diamond, "NODE ", "JOB "))
+	if len(node) != 4 || fmt.Sprint(node) != fmt.Sprint(job) {
+		t.Fatalf("NODE spelling gives priorities %v, JOB spelling %v", node, job)
+	}
+}
+
 func TestRunInplace(t *testing.T) {
 	_, dagPath := writeInput(t)
 	var stdout strings.Builder

@@ -9,59 +9,129 @@ package dag
 
 // ShortcutArcs returns every shortcut arc of g, sorted by (From, To).
 //
-// The algorithm processes each node u and asks which children of u are
-// reachable from another child by a nonempty path. Children are scanned
-// in topological order; a DFS from each child marks its descendants, and
-// a child found already marked is a shortcut target. Every child list
-// is sorted by topological position once, up front, so the DFS stops
-// scanning a node's children at the first one past the position of u's
-// last child: no later child can lie on a path to a child of u.
-// Traversal is pure CSR slice walking: the only allocations are the
-// sorted copy of the arcs, the visit stamps, the DFS stack and the
-// result.
+// An arc u -> w is a shortcut exactly when some other parent of w is
+// reachable from u. So a child whose latest parent (in topological
+// position) is u itself can never be a shortcut target, and u's search
+// only has to reach bound, the position of the latest other parent of
+// any of its children, not u's last child. Every child list is sorted
+// by topological position once, up front, in the same pass that records
+// each node's latest parent position.
+//
+// For each u, a DFS from its children in topological order marks every
+// descendant up to bound; a child found already marked is a shortcut
+// target (any path between two children of u runs forward in
+// topological order). A child past bound is a shortcut when one of its
+// parents was marked. That test costs either the child's in-degree
+// (scan its parents) or the out-degrees of the marked nodes (scan their
+// children up to u's last child); the cheaper side is taken, so a
+// fan-in hub (Montage's mBackground jobs under one mBgModel) costs its
+// own two parents, and an all-to-all stage with nothing marked costs
+// nothing. The only allocations are the sorted copy of the arcs, the
+// visit stamps, the DFS stack, the list of marked nodes and the result.
 func (f *Frozen) ShortcutArcs() []Arc {
 	pos := f.pos
 	n := f.NumNodes()
-	cs, sorted := f.childrenByPos()
-	// visited[v] == stamp means v was marked during the current u's scan.
+	cs, sorted, last := f.childrenByPos()
+	// visited[v] == stamp means v was marked during the current u's scan;
+	// visited[v] == -2-stamp that v is a candidate child of u past bound.
 	visited := make([]int32, n)
 	for i := range visited {
 		visited[i] = -1
 	}
 	stack := make([]int32, 0, 64)
+	var marked []int32
 	var shortcuts []Arc
 
 	for u := 0; u < n; u++ {
-		// Children in ascending topological order: any child reachable
-		// from another child must come later in topo order, so by the
-		// time we visit it, the DFS of the earlier child has marked it.
 		order := sorted[cs[u]:cs[u+1]]
 		if len(order) < 2 {
 			continue // a single arc cannot be a shortcut of itself
 		}
-		maxPos := pos[order[len(order)-1]]
+		pu := pos[u]
+		bound := int32(-1)
+		for _, w := range order {
+			if l := last[w]; l != pu && l > bound {
+				bound = l
+			}
+		}
+		if bound < 0 {
+			continue // u is the latest parent of each of its children
+		}
 
 		stamp := int32(u)
-		for _, c := range order {
+		marked = marked[:0]
+		fanOut := 0 // out-degrees of the marked nodes
+		i := 0
+		for ; i < len(order) && pos[order[i]] <= bound; i++ {
+			c := order[i]
 			if visited[c] == stamp {
 				shortcuts = append(shortcuts, Arc{u, int(c)})
 				continue // descendants of c are already being marked via the earlier child
 			}
-			// DFS from c, marking descendants up to maxPos.
 			visited[c] = stamp
 			stack = append(stack[:0], c)
 			for len(stack) > 0 {
 				x := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				for _, w := range sorted[cs[x]:cs[x+1]] {
-					if pos[w] > maxPos {
+				marked = append(marked, x)
+				fanOut += int(cs[x+1] - cs[x])
+				for _, y := range sorted[cs[x]:cs[x+1]] {
+					if pos[y] > bound {
 						break
 					}
-					if visited[w] != stamp {
-						visited[w] = stamp
-						stack = append(stack, w)
+					if visited[y] != stamp {
+						visited[y] = stamp
+						stack = append(stack, y)
 					}
 				}
+			}
+		}
+
+		// Children past bound: only those with a later parent than u
+		// are candidates, and all those parents lie within bound.
+		rest := order[i:]
+		if len(marked) == 0 || len(rest) == 0 {
+			continue
+		}
+		fanIn := 0
+		for _, w := range rest {
+			if last[w] != pu {
+				fanIn += f.InDegree(int(w))
+			}
+		}
+		if fanIn <= fanOut {
+			for _, w := range rest {
+				if last[w] == pu {
+					continue
+				}
+				for _, p := range f.Parents(int(w)) {
+					if visited[p] == stamp {
+						shortcuts = append(shortcuts, Arc{u, int(w)})
+						break
+					}
+				}
+			}
+			continue
+		}
+		candidate := -2 - stamp
+		for _, w := range rest {
+			if last[w] != pu {
+				visited[w] = candidate
+			}
+		}
+		maxPos := pos[order[len(order)-1]]
+		for _, x := range marked {
+			for _, y := range sorted[cs[x]:cs[x+1]] {
+				if py := pos[y]; py > maxPos {
+					break
+				} else if py > bound && visited[y] == candidate {
+					visited[y] = stamp
+				}
+			}
+		}
+		for _, w := range rest {
+			if visited[w] == stamp {
+				shortcuts = append(shortcuts, Arc{u, int(w)})
 			}
 		}
 	}
@@ -71,24 +141,29 @@ func (f *Frozen) ShortcutArcs() []Arc {
 
 // childrenByPos returns the forward adjacency as a fresh CSR (offsets
 // from 0, whatever the receiver's arena layout) with every child list
-// in ascending topological position. Walking the nodes in topological
-// order and appending each to its parents' lists sorts all lists in
-// one linear pass.
-func (f *Frozen) childrenByPos() (start, sorted []int32) {
+// in ascending topological position, and last[v], the largest
+// topological position among v's parents (-1 for a source). Walking
+// the nodes in topological order and appending each to its parents'
+// lists sorts all lists in one linear pass.
+func (f *Frozen) childrenByPos() (start, sorted, last []int32) {
 	n, m := f.NumNodes(), f.numArcs
-	buf := make([]int32, 2*(n+1)+m)
-	start, next, sorted := buf[:n+1], buf[n+1:2*(n+1)], buf[2*(n+1):]
+	buf := make([]int32, 2*(n+1)+m+n)
+	next := buf[n+1 : 2*(n+1)]
+	start, sorted, last = buf[:n+1], buf[2*(n+1):2*(n+1)+m], buf[2*(n+1)+m:]
 	for v := 0; v <= n; v++ {
 		start[v] = f.childStart[v] - f.childStart[0]
 	}
 	copy(next, start)
 	for _, v := range f.topo {
+		l := int32(-1)
 		for _, p := range f.Parents(int(v)) {
 			sorted[next[p]] = v
 			next[p]++
+			l = max(l, f.pos[p])
 		}
+		last[v] = l
 	}
-	return start, sorted
+	return start, sorted, last
 }
 
 func sortArcs(arcs []Arc) {

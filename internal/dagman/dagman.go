@@ -28,7 +28,8 @@ import (
 	"repro/internal/dag"
 )
 
-// Job is one JOB statement.
+// Job is one JOB statement, or one NODE statement (HTCondor's newer
+// spelling of the same thing).
 type Job struct {
 	Name       string
 	SubmitFile string
@@ -44,7 +45,7 @@ type lineKind uint8
 
 const (
 	lineOther lineKind = iota // comments, blanks, PARENT, CONFIG, RETRY, ...
-	lineJob                   // JOB statement; id is the job
+	lineJob                   // JOB or NODE statement; id is the job
 	lineVars                  // VARS statement without a jobpriority macro
 	linePrio                  // VARS statement with one; id is its job
 )
@@ -291,16 +292,21 @@ func (p *parser) resolve() {
 	}
 }
 
+// addLine parses one line, tokenizing only what its statement needs:
+// the keyword first, then every field of a JOB, NODE, PARENT or SPLICE
+// line, but of a VARS line only the job and the third field (checked to
+// exist, and skipped when it is PREPEND or APPEND), from where the
+// macro scan starts. Other statements are kept as text.
 func (p *parser) addLine(raw string, lineNo int) error {
 	f := p.f
-	fields := appendFields(p.fields[:0], raw)
-	p.fields = fields
 	ln := line{raw: raw}
-	switch {
-	case len(fields) == 0 || fields[0][0] == '#':
-	case isKeyword(fields[0], "JOB"):
+	k0, k1 := nextField(raw, 0)
+	switch kw := raw[k0:k1]; {
+	case kw == "" || kw[0] == '#':
+	case isKeyword(kw, "JOB") || isKeyword(kw, "NODE"):
+		fields := p.split(raw)
 		if len(fields) < 3 {
-			return fmt.Errorf("dagman: line %d: JOB needs a name and a submit file", lineNo)
+			return fmt.Errorf("dagman: line %d: %s needs a name and a submit file", lineNo, strings.ToUpper(kw))
 		}
 		name := fields[1]
 		if id, dup := f.index[name]; dup && id >= 0 {
@@ -314,7 +320,8 @@ func (p *parser) addLine(raw string, lineNo int) error {
 		ln.kind, ln.id = lineJob, int32(len(f.Jobs))
 		f.index[name] = len(f.Jobs)
 		f.Jobs = append(f.Jobs, Job{Name: name, SubmitFile: fields[2], Extra: cloneTail(fields[3:])})
-	case isKeyword(fields[0], "PARENT"):
+	case isKeyword(kw, "PARENT"):
+		fields := p.split(raw)
 		childAt := -1
 		for i, tok := range fields {
 			if strings.EqualFold(tok, "CHILD") {
@@ -339,24 +346,36 @@ func (p *parser) addLine(raw string, lineNo int) error {
 				f.to = append(f.to, v)
 			}
 		}
-	case isKeyword(fields[0], "VARS"):
-		if len(fields) < 3 {
+	case isKeyword(kw, "VARS"):
+		j0, j1 := nextField(raw, k1)
+		t0, t1 := nextField(raw, j1)
+		if t0 == t1 {
 			return fmt.Errorf("dagman: line %d: VARS needs a job and an assignment", lineNo)
 		}
 		ln.kind = lineVars
-		if job := fields[1]; !strings.EqualFold(job, "ALL_NODES") && hasPriorityMacro(raw) {
+		pairs := j1
+		if isPlacement(raw[t0:t1]) {
+			pairs = t1
+		}
+		if job := raw[j0:j1]; !strings.EqualFold(job, "ALL_NODES") && hasPriorityMacro(raw, pairs) {
 			ln.kind, ln.id = linePrio, p.intern(job)
 		}
-	case isKeyword(fields[0], "SPLICE"):
-		if err := f.parseSplice(fields, lineNo); err != nil {
+	case isKeyword(kw, "SPLICE"):
+		if err := f.parseSplice(p.split(raw), lineNo); err != nil {
 			return err
 		}
 	default:
 		// RETRY, SCRIPT, CONFIG, DOT, MAXJOBS, PRIORITY, ... preserved.
 	}
 	f.lines = append(f.lines, ln)
-	f.size += len(raw) + 1
+	f.size += len(raw) + len(eol(raw))
 	return nil
+}
+
+// split tokenizes raw fully into the parser's reusable field buffer.
+func (p *parser) split(raw string) []string {
+	p.fields = appendFields(p.fields[:0], raw)
+	return p.fields
 }
 
 // The VARS grammar (SNIPPETS.md §2):
@@ -376,11 +395,16 @@ type macro struct{ name0, name1, val0, val1 int }
 func firstMacro(raw string) int {
 	_, end := nextField(raw, 0)
 	_, end = nextField(raw, end)
-	start, word := nextField(raw, end)
-	if w := raw[start:word]; strings.EqualFold(w, "PREPEND") || strings.EqualFold(w, "APPEND") {
+	if start, word := nextField(raw, end); isPlacement(raw[start:word]) {
 		return word
 	}
 	return end
+}
+
+// isPlacement reports whether a VARS line's third field is the
+// optional PREPEND or APPEND.
+func isPlacement(w string) bool {
+	return strings.EqualFold(w, "PREPEND") || strings.EqualFold(w, "APPEND")
 }
 
 // nextMacro scans the pair at or after offset i and returns it with the
@@ -432,9 +456,10 @@ func (m macro) isPriority(raw string) bool {
 }
 
 // hasPriorityMacro reports whether a VARS line defines jobpriority: a
-// pair named so, not merely the word somewhere in the line.
-func hasPriorityMacro(raw string) bool {
-	for m, i, ok := nextMacro(raw, firstMacro(raw)); ok; m, i, ok = nextMacro(raw, i) {
+// pair named so, not merely the word somewhere in the line, scanning
+// the pairs from offset from.
+func hasPriorityMacro(raw string, from int) bool {
+	for m, i, ok := nextMacro(raw, from); ok; m, i, ok = nextMacro(raw, i) {
 		if m.isPriority(raw) {
 			return true
 		}
@@ -581,7 +606,7 @@ func (f *File) appendInstrumented(buf []byte, prio []int) []byte {
 		} else {
 			buf = append(buf, ln.raw...)
 		}
-		buf = append(buf, '\n')
+		buf = append(buf, eol(ln.raw)...)
 		if ln.kind == lineJob && !has[ln.id] && prio[ln.id] != noPriority {
 			buf = appendPriorityLine(buf, f.Jobs[ln.id].Name, prio[ln.id])
 		}
@@ -617,9 +642,19 @@ func (f *File) String() string {
 	b.Grow(f.size)
 	for _, ln := range f.lines {
 		b.WriteString(ln.raw)
-		b.WriteByte('\n')
+		b.WriteString(eol(ln.raw))
 	}
 	return b.String()
+}
+
+// eol is the terminator a preserved line is written with: \n, or \r\n
+// when the line itself ends in \r, since Parse reads a \r\n terminator
+// as a plain \n and would otherwise drop that \r on the next read.
+func eol(raw string) string {
+	if strings.HasSuffix(raw, "\r") {
+		return "\r\n"
+	}
+	return "\n"
 }
 
 // FromGraph renders a dag as a DAGMan input file, one JOB per node (in

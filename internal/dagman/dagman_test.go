@@ -296,6 +296,28 @@ func TestSubmitInstrumentReplacesPriority(t *testing.T) {
 	}
 }
 
+// A JSDF that sets priority twice keeps the last assignment in
+// HTCondor's submit language, so every assignment must become
+// $(jobpriority), and a second pass must change nothing.
+func TestSubmitInstrumentReplacesEveryPriority(t *testing.T) {
+	s, err := ParseSubmit(strings.NewReader("executable = w\npriority = 1\narguments = x\n  PRIORITY=2\nqueue\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := s.Attribute("priority"); v != "2" {
+		t.Fatalf("priority in force = %q, want the last assignment's 2", v)
+	}
+	s.InstrumentPriority()
+	want := "executable = w\npriority = $(jobpriority)\narguments = x\npriority = $(jobpriority)\nqueue\n"
+	if s.String() != want {
+		t.Fatalf("got:\n%q\nwant:\n%q", s.String(), want)
+	}
+	s.InstrumentPriority()
+	if s.String() != want {
+		t.Fatalf("not idempotent:\n%q", s.String())
+	}
+}
+
 func TestSubmitInstrumentNoQueue(t *testing.T) {
 	s, err := ParseSubmit(strings.NewReader("executable = w\n"))
 	if err != nil {

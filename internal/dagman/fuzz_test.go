@@ -74,6 +74,8 @@ func FuzzParseDAGMan(f *testing.F) {
 	f.Add("JOB A a.sub DIR /tmp NOOP\nVars A k=\"v\" k2=\"w\"\nRETRY A 3\nPARENT A CHILD A\n")
 	f.Add("Splice inner inner.dag\nJob out out.sub\nParent inner Child out\n# trailing comment")
 	f.Add("\tJob  q\t q.sub  \n\nPriority q 7\n")
+	f.Add("\r\r")                                   // a line that still ends in \r once its \r\n is read
+	f.Add("NODE a a.sub\r\r\nVARS a x=\"1\"\r\r\n") // ... on statements too
 	f.Fuzz(func(t *testing.T, input string) {
 		file, err := Parse(strings.NewReader(input))
 		if err != nil {

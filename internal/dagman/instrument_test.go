@@ -153,6 +153,7 @@ func FuzzInstrument(f *testing.F) {
 	f.Add("Job a a.sub\nVARS a state=\"Wisconsin\" jobpriority=\"7\"\nJob b b.sub\nVARS b note=\"see jobpriority docs\"\n", -5)
 	f.Add("VARS ALL_NODES jobpriority=\"9\"\nJob A x\nvars A APPEND  jobPriority = \"1\" a=\"\\\"q\\\\\"\n", 0)
 	f.Add("Job a a.sub\nVars a x=\"1\" jobpriority=\"2\nVARS ghost jobpriority=\"3\"\n", 1<<40)
+	f.Add("NODE A A.sub\nNODE B B.sub\nVARS B jobpriority=\"1\"\nnode C C.sub\nPARENT A CHILD B C\n", 2)
 	f.Fuzz(func(t *testing.T, input string, base int) {
 		file, err := Parse(strings.NewReader(input))
 		if err != nil {
@@ -209,7 +210,7 @@ func FuzzInstrument(f *testing.F) {
 				t.Fatalf("line %q came out as %q, want %q\ninput: %q", raw, got, want, input)
 			}
 			fields := strings.Fields(raw)
-			if len(fields) >= 3 && strings.ToUpper(fields[0]) == "JOB" {
+			if len(fields) >= 3 && (strings.ToUpper(fields[0]) == "JOB" || strings.ToUpper(fields[0]) == "NODE") {
 				v := file.index[fields[1]]
 				if !covered[v] {
 					want := "Vars " + fields[1] + ` jobpriority="` + strconv.Itoa(prio[v]) + `"`

@@ -63,10 +63,10 @@ func (f *refFile) addLine(raw string, lineNo int) error {
 	if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
 		return nil
 	}
-	switch strings.ToUpper(fields[0]) {
-	case "JOB":
+	switch kw := strings.ToUpper(fields[0]); kw {
+	case "JOB", "NODE":
 		if len(fields) < 3 {
-			return fmt.Errorf("dagman: line %d: JOB needs a name and a submit file", lineNo)
+			return fmt.Errorf("dagman: line %d: %s needs a name and a submit file", lineNo, kw)
 		}
 		name := fields[1]
 		if _, dup := f.index[name]; dup {
@@ -254,6 +254,9 @@ var oracleSeeds = []string{
 	"Job a a.sub\nVars a\n",
 	"Job a a.sub\nJob a b.sub\n",
 	"Parent a Child b c\nParent b Child c\nJob c c.sub\nJob b b.sub\nJob a a.sub\nParent c Child a\n",
+	"NODE A A.sub\nNODE B B.sub\nNODE C C.sub\nNODE D D.sub\nPARENT A CHILD B C\nPARENT B C CHILD D\n",
+	"node a a.sub\nJob b b.sub\nNoDe a c.sub\nNODE c\n",
+	"Node x x.sub DIR d NOOP\nParent x Child y\nnode y y.sub DONE\n",
 }
 
 func TestParseMatchesOracle(t *testing.T) {

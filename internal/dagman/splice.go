@@ -62,7 +62,7 @@ func (f *File) flatten(load func(string) (*File, error), stack []string) (*File,
 	for _, ln := range f.lines {
 		if ln.kind != lineOther {
 			b.WriteString(ln.raw)
-			b.WriteByte('\n')
+			b.WriteString(eol(ln.raw))
 		}
 	}
 
@@ -98,7 +98,7 @@ func (f *File) flatten(load func(string) (*File, error), stack []string) (*File,
 			if ln.kind == lineVars || ln.kind == linePrio {
 				_, end := nextField(ln.raw, 0)
 				start, end := nextField(ln.raw, end)
-				fmt.Fprintf(&b, "Vars %s%s%s\n", prefix, ln.raw[start:end], ln.raw[end:])
+				fmt.Fprintf(&b, "Vars %s%s%s%s", prefix, ln.raw[start:end], ln.raw[end:], eol(ln.raw))
 			}
 		}
 		for i, u := range flat.from {

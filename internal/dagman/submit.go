@@ -39,20 +39,16 @@ func ParseSubmitFile(path string) (*SubmitFile, error) {
 }
 
 // Attribute returns the value of the named attribute (case-insensitive),
-// if set.
+// if set. When the file assigns it more than once, the value is the
+// last assignment's: in HTCondor's submit language the last one wins.
 func (s *SubmitFile) Attribute(name string) (string, bool) {
-	val, _, ok := s.findAttribute(name)
-	return val, ok
-}
-
-func (s *SubmitFile) findAttribute(name string) (value string, lineIdx int, ok bool) {
-	for i, ln := range s.lines {
-		k, v, isAttr := splitAttr(ln)
-		if isAttr && strings.EqualFold(k, name) {
-			return v, i, true
+	val, ok := "", false
+	for _, ln := range s.lines {
+		if k, v, isAttr := splitAttr(ln); isAttr && strings.EqualFold(k, name) {
+			val, ok = v, true
 		}
 	}
-	return "", -1, false
+	return val, ok
 }
 
 func splitAttr(ln string) (key, value string, ok bool) {
@@ -71,13 +67,20 @@ func splitAttr(ln string) (key, value string, ok bool) {
 //
 //	priority = $(jobpriority)
 //
-// If a priority attribute already exists its value is replaced;
-// otherwise the line is inserted before the first queue command (or
-// appended when there is none). The call is idempotent.
+// Every existing priority assignment is replaced by that line, so
+// whichever one HTCondor keeps is $(jobpriority); without one, the line
+// is inserted before the first queue command (or appended when there is
+// none). The call is idempotent.
 func (s *SubmitFile) InstrumentPriority() {
 	const assignment = "priority = $(jobpriority)"
-	if _, idx, ok := s.findAttribute("priority"); ok {
-		s.lines[idx] = assignment
+	replaced := false
+	for i, ln := range s.lines {
+		if k, _, isAttr := splitAttr(ln); isAttr && strings.EqualFold(k, "priority") {
+			s.lines[i] = assignment
+			replaced = true
+		}
+	}
+	if replaced {
 		return
 	}
 	for i, ln := range s.lines {

@@ -75,14 +75,24 @@ func Decompose(g *dag.Frozen) *Result { return DecomposeOpts(g, Options{}) }
 //
 //prio:pure
 func DecomposeOpts(g *dag.Frozen, opts Options) *Result {
-	return newDecomposer(g, opts, true).run()
+	d := newDecomposer(g, opts)
+	for d.aliveCount > 0 {
+		sources := d.currentSources()
+		if d.bipartiteBlocks(sources) {
+			for _, b := range d.blocks {
+				d.detach(d.blockNodes[b.lo:b.hi], true, true)
+			}
+			continue
+		}
+		nodes := d.minimalClosure(sources)
+		d.detach(nodes, d.isBipartiteSet(nodes), false)
+	}
+	return d.finish()
 }
 
 // newDecomposer reduces g (Step 1) and readies the peeling loop over
-// the reduced dag. fastPath false forces the general containment-minimal
-// search for every component, the pre-Section-3.5 design that the tests
-// and BenchmarkAblationFastPath keep as the oracle for the fast path.
-func newDecomposer(g *dag.Frozen, opts Options, fastPath bool) *decomposer {
+// the reduced dag.
+func newDecomposer(g *dag.Frozen, opts Options) *decomposer {
 	reduced, shortcuts := g.TransitiveReductionCached(opts.ReduceCache)
 	n := reduced.NumNodes()
 	d := &decomposer{
@@ -101,7 +111,6 @@ func newDecomposer(g *dag.Frozen, opts Options, fastPath bool) *decomposer {
 			Shortcuts:   shortcuts,
 			ScheduledIn: make([]int, n),
 		},
-		fastPath: fastPath,
 	}
 	for v := 0; v < n; v++ {
 		d.alive[v] = true
@@ -137,14 +146,31 @@ type decomposer struct {
 	sources    []int   // scratch: the current round's sources
 	blockNodes []int   // scratch: nodes of this round's fast-path blocks, back to back
 	blocks     []span  // scratch: this round's fast-path blocks
-	closeBuf   []int   // scratch: nodes of the closure being computed
-	bestBuf    []int   // scratch: nodes of the smallest closure so far
-	srcQueue   []int   // scratch: source queue of the closure being computed
-	tQueue     []int   // scratch: T queue of the closure being computed
+	srcQueue   []int   // scratch: source queue of the block being grown
+	scc        sccScratch
 	aliveCount int
-	fastPath   bool
 	result     *Result
 }
+
+// sccScratch is the general round's working storage, allocated on the
+// first general round and reset after each one over the nodes it
+// touched. Per node: num is the DFS number (-1 unvisited), low Tarjan's
+// low link, comp the finished component (-1 while on the stack), and
+// blocked whether the node has an arc into a finished component that
+// holds or reaches a source.
+type sccScratch struct {
+	num, low, comp []int32
+	blocked        []bool
+	feeds          []bool  // per component: it holds or reaches a source
+	visited        []int32 // nodes numbered this round, in visit order
+	stack          []int32 // Tarjan's stack
+	frames         []frame // the DFS call stack
+	minimal        []int32 // the smallest source of each minimal component
+	closures       []int   // closures of the minimal components, back to back
+}
+
+// frame is a DFS call: node x with its successors before next done.
+type frame struct{ x, next int32 }
 
 // kind is what a component's record in Result says about how it was
 // detached; cutWindows writes the records once their number is known.
@@ -154,23 +180,9 @@ type kind struct{ bipartite, fastPath bool }
 // minNode, its smallest member source.
 type span struct{ lo, hi, minNode int }
 
-// run peels the remnant into components (Step 2), then cuts the
-// component windows and builds the superdag.
-func (d *decomposer) run() *Result {
-	for d.aliveCount > 0 {
-		sources := d.currentSources()
-		if len(sources) == 0 {
-			panic("decompose: nonempty remnant without sources (cycle?)")
-		}
-		if d.fastPath && d.bipartiteBlocks(sources) {
-			for _, b := range d.blocks {
-				d.detach(d.blockNodes[b.lo:b.hi], true, true)
-			}
-			continue
-		}
-		nodes := d.minimalClosure(sources)
-		d.detach(nodes, d.isBipartiteSet(nodes), false)
-	}
+// finish cuts the component windows once peeling (Step 2) is done and
+// builds the superdag.
+func (d *decomposer) finish() *Result {
 	d.cutWindows()
 	from, to := d.superArcs()
 	super, err := dag.FromArcs(make([]string, len(d.result.Components)), nil, from, to)
@@ -308,6 +320,9 @@ func (d *decomposer) currentSources() []int {
 			out = append(out, v)
 		}
 	}
+	if len(out) == 0 {
+		panic("decompose: nonempty remnant without sources (cycle?)")
+	}
 	d.sources = out
 	return out
 }
@@ -402,68 +417,166 @@ func (d *decomposer) bipartiteBlocks(sources []int) bool {
 	return len(d.blocks) > 0
 }
 
-// minimalClosure computes the closure C(s) for every current source and
-// returns a containment-minimal one (smallest size, ties broken by
-// smallest source id). One component per round: detaching it can expose
-// new sources that change the other closures. The result is scratch,
-// valid until the next call.
+// minimalClosure returns the general round's component: the smallest
+// closure C(s) over the current sources, ties broken by the smallest
+// source it holds. The result is scratch, valid until the next call.
+//
+// C(s) is everything reachable from s under one rule: from any x, go
+// to x's alive parents, and also to its alive children when x is a
+// source of the remnant (the paper's BFS-like closure, with S the
+// sources reached and T the rest). If a source s' lies in C(s), then
+// C(s') is contained in C(s). So the round condenses that relation into
+// strongly connected components (iterative Tarjan, from every source)
+// and keeps the source-holding components that reach no other
+// source-holding component. Their closures are the containment-minimal
+// ones and are pairwise disjoint: a node in two of them would have a
+// source ancestor in both, and each holds no source but its own. Every
+// other closure contains one of them, so the smallest closure is among
+// them, and materialising them all costs one pass over the region the
+// sources reach.
 func (d *decomposer) minimalClosure(sources []int) []int {
-	best, bestMin := d.bestBuf[:0], -1
-	for _, s := range sources {
-		c, minNode := d.closure(s, d.closeBuf[:0])
-		if bestMin == -1 || len(c) < len(best) || (len(c) == len(best) && minNode < bestMin) {
-			best, c, bestMin = c, best, minNode
+	s := &d.scc
+	if s.num == nil {
+		n := d.g.NumNodes()
+		buf := make([]int32, 3*n)
+		s.num, s.low, s.comp = buf[:n], buf[n:2*n], buf[2*n:]
+		for i := range buf {
+			buf[i] = -1
 		}
-		d.closeBuf = c
+		s.blocked = make([]bool, n)
 	}
-	d.bestBuf = best
-	return best
+	s.visited, s.stack, s.frames = s.visited[:0], s.stack[:0], s.frames[:0]
+	s.feeds, s.minimal = s.feeds[:0], s.minimal[:0]
+	for _, src := range sources {
+		if s.num[src] == -1 {
+			d.strongConnect(int32(src))
+		}
+	}
+
+	buf, lo, hi, bestSrc := s.closures[:0], 0, 0, int32(-1)
+	for _, src := range s.minimal {
+		start := len(buf)
+		buf = d.reach(src, buf)
+		if size := len(buf) - start; bestSrc == -1 || size < hi-lo || size == hi-lo && src < bestSrc {
+			lo, hi, bestSrc = start, len(buf), src
+		}
+	}
+	for _, v := range buf {
+		d.inBlock[v] = false
+	}
+	for _, v := range s.visited {
+		s.num[v], s.low[v], s.comp[v], s.blocked[v] = -1, -1, -1, false
+	}
+	s.closures = buf
+	return buf[lo:hi]
 }
 
-// closure computes C(s) per the paper's BFS-like algorithm, appending
-// its nodes to buf: S starts as {s}; children of S-jobs join T; parents
-// of T-jobs join T; T-jobs that are sources of the remnant move to S;
-// repeat to fixpoint. It also returns the smallest source in C(s).
-func (d *decomposer) closure(s int, buf []int) ([]int, int) {
-	nodes, minNode := append(buf, s), s
-	d.inBlock[s] = true
-	srcQueue := append(d.srcQueue[:0], s) // S jobs whose children still need expanding
-	tQueue := d.tQueue[:0]                // T jobs whose parents still need expanding
-	for len(srcQueue) > 0 || len(tQueue) > 0 {
-		if len(srcQueue) > 0 {
-			u := srcQueue[len(srcQueue)-1]
-			srcQueue = srcQueue[:len(srcQueue)-1]
-			for _, c := range d.g.Children(u) {
-				if d.alive[c] && !d.inBlock[c] {
-					d.inBlock[c] = true
-					nodes = append(nodes, int(c))
-					tQueue = append(tQueue, int(c))
-				}
+// successor returns x's k-th successor under the closure rule, dead
+// ones included: its parents, then, when x is a source of the remnant,
+// its children. It reports false past the last one.
+func (d *decomposer) successor(x int32, k int32) (int32, bool) {
+	ps := d.g.Parents(int(x))
+	if int(k) < len(ps) {
+		return ps[k], true
+	}
+	if d.inAlive[x] == 0 {
+		if cs := d.g.Children(int(x)); int(k)-len(ps) < len(cs) {
+			return cs[int(k)-len(ps)], true
+		}
+	}
+	return 0, false
+}
+
+// strongConnect runs Tarjan's algorithm from root over the closure
+// relation, without recursion. Each finished component records in
+// feeds whether it holds a source or reaches one that does; a
+// component that holds a source and reaches no other is minimal, and
+// its smallest source joins s.minimal.
+func (d *decomposer) strongConnect(root int32) {
+	s := &d.scc
+	push := func(x int32) {
+		s.num[x] = int32(len(s.visited))
+		s.low[x] = s.num[x]
+		s.visited = append(s.visited, x)
+		s.stack = append(s.stack, x)
+		s.frames = append(s.frames, frame{x: x})
+	}
+	push(root)
+	for len(s.frames) > 0 {
+		f := &s.frames[len(s.frames)-1]
+		x := f.x
+		y, ok := d.successor(x, f.next)
+		if ok {
+			f.next++
+			switch {
+			case !d.alive[y]:
+			case s.num[y] == -1:
+				push(y)
+			case s.comp[y] == -1:
+				s.low[x] = min(s.low[x], s.num[y])
+			case s.feeds[s.comp[y]]:
+				s.blocked[x] = true
 			}
 			continue
 		}
-		t := tQueue[len(tQueue)-1]
-		tQueue = tQueue[:len(tQueue)-1]
-		// T members that are sources of the remnant behave as S members.
-		if d.inAlive[t] == 0 {
-			if t < minNode {
-				minNode = t
+		s.frames = s.frames[:len(s.frames)-1]
+		if s.low[x] == s.num[x] {
+			c := int32(len(s.feeds))
+			src, blocked := int32(-1), false
+			for {
+				v := s.stack[len(s.stack)-1]
+				s.stack = s.stack[:len(s.stack)-1]
+				s.comp[v] = c
+				if d.inAlive[v] == 0 && (src == -1 || v < src) {
+					src = v
+				}
+				blocked = blocked || s.blocked[v]
+				if v == x {
+					break
+				}
 			}
-			srcQueue = append(srcQueue, t)
+			s.feeds = append(s.feeds, src != -1 || blocked)
+			if src != -1 && !blocked {
+				s.minimal = append(s.minimal, src)
+			}
 		}
-		for _, p := range d.g.Parents(t) {
-			if d.alive[p] && !d.inBlock[p] {
-				d.inBlock[p] = true
-				nodes = append(nodes, int(p))
-				tQueue = append(tQueue, int(p))
+		if len(s.frames) > 0 {
+			p := s.frames[len(s.frames)-1].x
+			if s.comp[x] == -1 {
+				s.low[p] = min(s.low[p], s.low[x])
+			} else if s.feeds[s.comp[x]] {
+				s.blocked[p] = true
 			}
 		}
 	}
-	for _, v := range nodes {
-		d.inBlock[v] = false
+}
+
+// reach appends to buf, marking them in inBlock, the nodes reachable
+// from r under the closure rule that inBlock does not mark yet.
+func (d *decomposer) reach(r int32, buf []int) []int {
+	lo := len(buf)
+	d.inBlock[r] = true
+	buf = append(buf, int(r))
+	for i := lo; i < len(buf); i++ {
+		x := buf[i]
+		buf = d.appendUnmarked(buf, d.g.Parents(x))
+		if d.inAlive[x] == 0 {
+			buf = d.appendUnmarked(buf, d.g.Children(x))
+		}
 	}
-	d.srcQueue, d.tQueue = srcQueue, tQueue
-	return nodes, minNode
+	return buf
+}
+
+// appendUnmarked marks and appends to buf the alive nodes of vs that
+// inBlock does not mark yet.
+func (d *decomposer) appendUnmarked(buf []int, vs []int32) []int {
+	for _, y := range vs {
+		if d.alive[y] && !d.inBlock[y] {
+			d.inBlock[y] = true
+			buf = append(buf, int(y))
+		}
+	}
+	return buf
 }
 
 // isBipartiteSet reports whether the node set forms a two-level dag in

@@ -243,11 +243,13 @@ func TestSuperdagInteriorNonSinkDependency(t *testing.T) {
 	}
 }
 
-// TestFastPathMatchesGeneralPath: the Section 3.5 bipartite fast path
-// and the general containment-minimal search it short-cuts must detach
-// the same components (as node sets), on random layered dags and on the
-// four paper dags at scales where the general path runs in about a
-// second in total.
+// TestFastPathMatchesGeneralPath: production (the Section 3.5 bipartite
+// fast path, with the SCC general round where it finds no block) and
+// the per-source general oracle it short-cuts must detach the same
+// components (as node sets), on random layered dags and on the four
+// paper dags at scales where the oracle runs in about a second in
+// total. Every round of the oracle also checks that the SCC round picks
+// the component the per-source closures pick.
 func TestFastPathMatchesGeneralPath(t *testing.T) {
 	gs := make(map[string]*dag.Frozen)
 	r := rng.New(31)
@@ -263,7 +265,7 @@ func TestFastPathMatchesGeneralPath(t *testing.T) {
 	}
 	for name, g := range gs {
 		fast := Decompose(g)
-		slow := newDecomposer(g, Options{}, false).run()
+		slow := generalDecomposition(t, g, true)
 		checkInvariants(t, g, fast)
 		checkInvariants(t, g, slow)
 		if fs, ss := componentSignatures(fast), componentSignatures(slow); fmt.Sprint(fs) != fmt.Sprint(ss) {
@@ -381,8 +383,10 @@ func BenchmarkDecomposeLayered(b *testing.B) {
 
 // BenchmarkAblationFastPath is the Section 3.5 decomposition exhibit:
 // the bipartite fast path turned SDSS decomposition from days into
-// minutes. The general path is timed on SDSS/40 so the comparison
-// completes. It fails if the two detach different components.
+// minutes. "off" times the per-source general oracle (every component
+// a smallest closure, each closure computed from scratch), on SDSS/40
+// so the comparison completes. It fails if the two detach different
+// components.
 func BenchmarkAblationFastPath(b *testing.B) {
 	g, err := workloads.ByName("sdss", 40)
 	if err != nil {
@@ -397,7 +401,11 @@ func BenchmarkAblationFastPath(b *testing.B) {
 			var r *Result
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r = newDecomposer(g, Options{}, tc.fast).run()
+				if tc.fast {
+					r = Decompose(g)
+				} else {
+					r = generalDecomposition(b, g, false)
+				}
 			}
 			b.StopTimer()
 			sigs[tc.name] = fmt.Sprint(componentSignatures(r))

@@ -6,18 +6,29 @@
 //
 // # Algorithm
 //
-// Two decomposition paths are provided, mirroring the engineering of
-// Section 3.5: a fast path that detaches every maximal connected
-// bipartite building block whose sources are sources of the remnant
-// (for these, containment-minimality is automatic), and a general path
-// that computes the full closure C(s) for each source and detaches one
-// containment-minimal component per round. The fast path alone reduced
-// the paper's SDSS decomposition from days to minutes. Production
-// always tries the fast path first and falls back to the general path
-// in rounds where no bipartite block exists; only the tests force the
-// general path for every round (through the unexported
-// newDecomposer), to check that both detach the same components and to
-// time the Section 3.5 ablation in BenchmarkAblationFastPath.
+// Each round peels components off the remnant, mirroring the
+// engineering of Section 3.5. The fast path detaches every maximal
+// connected bipartite building block whose sources are sources of the
+// remnant (for these, containment-minimality is automatic); it alone
+// reduced the paper's SDSS decomposition from days to minutes. In a
+// round where no such block exists, the general round detaches one
+// containment-minimal closure C(s), the smallest (ties broken by the
+// smallest source it holds).
+//
+// The general round does not compute C(s) source by source. C(s) is
+// reachability from s under one rule: from any job, go to its alive
+// parents, and also to its alive children when the job is a source of
+// the remnant. The round condenses that relation into strongly
+// connected components with one iterative Tarjan pass from the
+// sources. The closures of the source-holding components that reach no
+// other source-holding component are exactly the containment-minimal
+// closures, and they are pairwise disjoint, so materialising all of
+// them costs one pass over the region the sources reach. Every other
+// closure contains one of them, so the smallest closure is among them.
+// The per-source search it replaced stays in the tests as the oracle:
+// TestFastPathMatchesGeneralPath and FuzzGeneralRound hold production
+// to it round by round, and BenchmarkAblationFastPath times it as the
+// pre-Section-3.5 design.
 //
 // Components are windows over storage shared by the whole Result.
 // Peeling records only which components each job belongs to (at most
@@ -25,9 +36,9 @@
 // that schedules it or defers it as a dag sink). When peeling ends, one
 // pass lays out every component's members, names and local-index child
 // CSR back to back, and dag.FreezeBatch builds every Sub header into
-// one slice over those arrays. The closure search runs on reusable
-// scratch, so decomposing a dag into tens of thousands of components
-// costs a few hundred allocations in all, none per component.
+// one slice over those arrays. Both rounds run on reusable scratch, so
+// decomposing a dag into tens of thousands of components costs a few
+// hundred allocations in all, none per component.
 //
 // Step 1's transitive reduction can be memoized across pipeline stages
 // by supplying Options.ReduceCache (see dag.ReduceCache); core.Options

@@ -68,7 +68,10 @@ func TestSuperMatchesBuilder(t *testing.T) {
 			if !fast && g.NumNodes() > 200 {
 				continue // the general search alone is slow on the paper dags
 			}
-			res := newDecomposer(g, Options{}, fast).run()
+			res := Decompose(g)
+			if !fast {
+				res = generalDecomposition(t, g, false)
+			}
 			want := builderSuper(res)
 			got := res.Super
 			if got.NumNodes() != want.NumNodes() || got.NumArcs() != want.NumArcs() {
