@@ -142,8 +142,9 @@ type config struct {
 
 // prioritizeFile runs the pipeline on one DAGMan file — parse, flatten
 // any splices, freeze the graph, prioritize, instrument — and writes
-// the instrumented text over the input with -inplace, to -o's path
-// when one is given, and to w otherwise. It returns the schedule, with
+// the instrumented text over the input with -inplace (or when -o names
+// the input), to -o's path when one is given, and to w otherwise,
+// streaming it in every case. It returns the schedule, with
 // -submit the JSDFs the file references (for the caller to instrument
 // once every DAGMan file is written), and the time prioritization took.
 func (c *config) prioritizeFile(input string, w io.Writer) (*core.Schedule, []submitRef, time.Duration, error) {
@@ -167,14 +168,14 @@ func (c *config) prioritizeFile(input string, w io.Writer) (*core.Schedule, []su
 	sched := core.PrioritizeOpts(g, c.opts)
 	elapsed := time.Since(start)
 
-	text := f.InstrumentIDs(sched.Priority)
+	write := func(w io.Writer) error { return f.WriteInstrumented(w, sched.Priority) }
 	switch {
-	case c.inplace:
-		err = os.WriteFile(input, text, 0o644)
+	case c.inplace || c.out != "" && sameFile(c.out, input):
+		err = replaceFile(input, write)
 	case c.out != "":
-		err = os.WriteFile(c.out, text, 0o644)
+		err = createFile(c.out, write)
 	default:
-		_, err = w.Write(text)
+		err = write(w)
 	}
 	if err != nil {
 		return nil, nil, 0, err
@@ -270,13 +271,79 @@ func instrumentSubmitFiles(refs []submitRef) error {
 		sf, err := dagman.ParseSubmitFile(r.path)
 		if err == nil {
 			sf.InstrumentPriority()
-			err = os.WriteFile(r.path, []byte(sf.String()), 0o644)
+			err = replaceFile(r.path, func(w io.Writer) error {
+				_, err := io.WriteString(w, sf.String())
+				return err
+			})
 		}
 		if err != nil {
 			errs = append(errs, fmt.Errorf("%s: submit file for job %s: %w", r.input, r.job, err))
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// createFile writes path, created or truncated, with what write
+// produces.
+func createFile(path string, write func(io.Writer) error) error {
+	out, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	err = write(out)
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// sameFile reports whether paths a and b both exist and name the same
+// file.
+func sameFile(a, b string) bool {
+	fa, err := os.Stat(a)
+	if err != nil {
+		return false
+	}
+	fb, err := os.Stat(b)
+	return err == nil && os.SameFile(fa, fb)
+}
+
+// replaceFile rewrites the existing file path with what write produces
+// and never leaves it part-written. The new text goes to a temporary
+// file in the same directory, with path's permission bits, which is
+// renamed over path only once it is complete and synced; on any error
+// path is untouched and the temporary file removed. A symlinked path
+// has its target replaced, so the link survives.
+func replaceFile(path string, write func(io.Writer) error) error {
+	target, err := filepath.EvalSymlinks(path)
+	if err != nil {
+		return err
+	}
+	info, err := os.Stat(target)
+	if err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(target), "."+filepath.Base(target)+".prio-*")
+	if err != nil {
+		return err
+	}
+	err = write(tmp)
+	if err == nil {
+		err = tmp.Chmod(info.Mode().Perm())
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), target)
+	}
+	if err != nil {
+		return errors.Join(err, os.Remove(tmp.Name()))
+	}
+	return nil
 }
 
 // printCacheStats reports the -cache counters; without -cache it prints

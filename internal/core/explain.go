@@ -28,8 +28,9 @@ func (s *Schedule) Explain(v int) string {
 		return b.String()
 	}
 	cs := &s.Components[ci]
+	nodes := s.Decomposition.Nodes(ci)
 	fmt.Fprintf(&b, "  scheduled by component C%d (%d jobs, %d to execute)\n",
-		ci, len(cs.Comp.Nodes), len(cs.Order))
+		ci, len(nodes), len(cs.Order))
 	if cs.Family != bipartite.Unknown {
 		fmt.Fprintf(&b, "  component schedule: IC-optimal %s-dag source order\n", cs.Family)
 	} else if cs.Comp.Bipartite {
@@ -46,8 +47,8 @@ func (s *Schedule) Explain(v int) string {
 	}
 	// position within the component schedule
 	for i, si := range cs.Order {
-		if cs.Comp.Orig[si] == v {
-			deg := cs.Comp.Sub.OutDegree(si)
+		if nodes[si] == v {
+			deg := s.Decomposition.Sub(ci).OutDegree(si)
 			fmt.Fprintf(&b, "  position %d of %d within the component (out-degree %d inside it)\n",
 				i+1, len(cs.Order), deg)
 			break

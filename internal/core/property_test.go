@@ -81,13 +81,14 @@ func TestQuickComponentsConnected(t *testing.T) {
 		r := rng.New(seed)
 		g := randomDag(r, 2+r.Intn(30), 0.15)
 		s := Prioritize(g)
-		for _, cs := range s.Components {
-			if _, n := cs.Comp.Sub.UndirectedComponents(); n != 1 {
+		for i, cs := range s.Components {
+			sub := s.Decomposition.Sub(i)
+			if _, n := sub.UndirectedComponents(); n != 1 {
 				return false
 			}
 			nonSinks := 0
-			for v := 0; v < cs.Comp.Sub.NumNodes(); v++ {
-				if cs.Comp.Sub.OutDegree(v) > 0 {
+			for v := 0; v < sub.NumNodes(); v++ {
+				if sub.OutDegree(v) > 0 {
 					nonSinks++
 				}
 			}
@@ -110,8 +111,8 @@ func TestQuickProfileShape(t *testing.T) {
 		r := rng.New(seed)
 		g := randomDag(r, 2+r.Intn(25), 0.25)
 		s := Prioritize(g)
-		for _, cs := range s.Components {
-			sub := cs.Comp.Sub
+		for i, cs := range s.Components {
+			sub := s.Decomposition.Sub(i)
 			sinks := sub.NumNodes() - len(cs.Order)
 			for x, e := range cs.Profile {
 				if e < 0 || e > sub.NumNodes()-x {

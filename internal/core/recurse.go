@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/bipartite"
+	"repro/internal/dag"
 	"repro/internal/decompose"
 )
 
@@ -13,9 +14,11 @@ import (
 // A component's Order covers exactly its non-sinks and its Profile one
 // entry more, so every Order and Profile is a window cut from one of
 // two slabs sized up front, at offsets fixed by component index; with
-// one scratch for everything else, a component costs no allocations of
-// its own.
-func scheduleComponents(comps []decompose.Component, cache *Cache) []ComponentSchedule {
+// one scratch for everything else — each component's graph included,
+// frozen into one reused dag.View — a component costs no allocations
+// of its own.
+func scheduleComponents(dec *decompose.Result, cache *Cache) []ComponentSchedule {
+	comps := dec.Components
 	out := make([]ComponentSchedule, len(comps))
 	total := 0
 	for i := range comps {
@@ -28,14 +31,27 @@ func scheduleComponents(comps []decompose.Component, cache *Cache) []ComponentSc
 		orders, profiles = orders[ns:], profiles[ns+1:]
 	}
 	var sc recurseScratch
+	maxN, maxM := 0, 0
+	for i := range comps {
+		childStart, _ := dec.Window(i)
+		maxN, maxM = max(maxN, len(childStart)-1), max(maxM, int(childStart[len(childStart)-1]))
+	}
+	sc.view.Grow(maxN, maxM)
 	for i := range out {
-		recurseComponent(&out[i], cache, &sc)
+		childStart, children := dec.Window(i)
+		sub, err := sc.view.Freeze(nil, childStart, children)
+		if err != nil {
+			panic(err) // unreachable: an induced subgraph of a dag is a dag
+		}
+		recurseComponent(&out[i], sub, cache, &sc)
 	}
 	return out
 }
 
-// recurseScratch is the Recurse phase's reusable storage.
+// recurseScratch is the Recurse phase's reusable storage, the graph of
+// the component being scheduled included.
 type recurseScratch struct {
+	view     dag.View
 	classify bipartite.Scratch
 	counts   []int
 	executed []bool
@@ -59,26 +75,27 @@ func (sc *recurseScratch) bools(n int) []bool {
 	return sc.executed[:n]
 }
 
-// recurseComponent fills in one component's schedule and eligibility
-// profile, writing them into the windows cs arrives with, or taking
-// them from the memo cache when one is supplied. On a hit the Order and
+// recurseComponent fills in the schedule and eligibility profile of
+// one component, whose subgraph is sub, writing them into the windows
+// cs arrives with, or taking them from the memo cache when one is
+// supplied. On a hit the Order and
 // Profile slices are shared with the cache entry (and with every other
 // component of the same shape); they are never mutated downstream.
-func recurseComponent(cs *ComponentSchedule, cache *Cache, sc *recurseScratch) {
+func recurseComponent(cs *ComponentSchedule, sub *dag.Frozen, cache *Cache, sc *recurseScratch) {
 	c := cs.Comp
 	if cache != nil {
-		sc.key = appendSignature(sc.key[:0], c.Sub)
+		sc.key = appendSignature(sc.key[:0], sub)
 		if e, ok := cache.lookup(sc.key); ok {
 			cs.Family, cs.Order, cs.Profile = e.family, e.order, e.profile
 			return
 		}
 	}
-	cs.Family, cs.Order = scheduleComponent(c, sc, cs.Order)
+	cs.Family, cs.Order = scheduleComponent(sub, sc, cs.Order)
 	if len(cs.Order) != c.NonSinkCount {
 		panic(fmt.Sprintf("core: component %d schedule has %d jobs for %d non-sinks", c.Index, len(cs.Order), c.NonSinkCount))
 	}
-	n := c.Sub.NumNodes()
-	profile, err := eligibilityTrace(c.Sub, cs.Order, sc.ints(n), sc.bools(n), cs.Profile)
+	n := sub.NumNodes()
+	profile, err := eligibilityTrace(sub, cs.Order, sc.ints(n), sc.bools(n), cs.Profile)
 	if err != nil {
 		panic(fmt.Sprintf("core: component %d schedule invalid: %v", c.Index, err))
 	}

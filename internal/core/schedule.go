@@ -32,10 +32,10 @@ type ComponentSchedule struct {
 	// Family is the recognized building-block family, or
 	// bipartite.Unknown when the outdegree heuristic was used.
 	Family bipartite.Family
-	// Order lists the component's non-sinks (as Sub indices) in
-	// execution order: the family's IC-optimal source order when
-	// recognized, otherwise greatest-outdegree-first among eligible
-	// jobs.
+	// Order lists the component's non-sinks (as local indices, see
+	// decompose.Result.Nodes) in execution order: the family's
+	// IC-optimal source order when recognized, otherwise
+	// greatest-outdegree-first among eligible jobs.
 	Order []int
 	// Profile[x] is the number of eligible jobs of the component after
 	// executing the first x jobs of Order (Step 4's E_Sigma values).
@@ -78,7 +78,7 @@ func PrioritizeOpts(g *dag.Frozen, opts Options) *Schedule {
 	dec := decompose.DecomposeOpts(g, decompose.Options{ReduceCache: opts.Cache.ReduceCache()})
 
 	// Recurse: per-component schedules.
-	comps := scheduleComponents(dec.Components, opts.Cache)
+	comps := scheduleComponents(dec, opts.Cache)
 
 	// Profiles are interned in component order, so ids — and therefore
 	// the Combine phase — depend only on the decomposition.
@@ -94,9 +94,9 @@ func PrioritizeOpts(g *dag.Frozen, opts Options) *Schedule {
 	n := g.NumNodes()
 	order := make([]int, 0, n)
 	for _, ci := range compOrder {
-		cs := &comps[ci]
-		for _, si := range cs.Order {
-			order = append(order, cs.Comp.Orig[si])
+		nodes := dec.Nodes(ci)
+		for _, si := range comps[ci].Order {
+			order = append(order, nodes[si])
 		}
 	}
 	// Final phase: all sinks of the dag, in node-index order.
@@ -123,17 +123,18 @@ func PrioritizeOpts(g *dag.Frozen, opts Options) *Schedule {
 }
 
 // scheduleComponent implements the Recurse phase (Step 3) for one
-// component, writing its schedule into order[:0]: an explicit
+// component, whose subgraph is sub, writing its schedule into
+// order[:0]: an explicit
 // IC-optimal schedule when the component is a recognized bipartite
 // building block, otherwise the outdegree heuristic — repeatedly
 // execute the eligible non-sink with the largest out-degree (ties
 // toward the smaller index), which executes sinks last exactly as the
 // paper prescribes.
-func scheduleComponent(c *decompose.Component, sc *recurseScratch, order []int) (bipartite.Family, []int) {
-	if cls, ok := sc.classify.Classify(c.Sub, order); ok {
+func scheduleComponent(sub *dag.Frozen, sc *recurseScratch, order []int) (bipartite.Family, []int) {
+	if cls, ok := sc.classify.Classify(sub, order); ok {
 		return cls.Family, cls.SourceOrder
 	}
-	return bipartite.Unknown, outdegreeOrder(c.Sub, sc, order)
+	return bipartite.Unknown, outdegreeOrder(sub, sc, order)
 }
 
 // degKey packs an eligible job's out-degree and index into one heap

@@ -52,17 +52,18 @@ func TheoreticalScheduleOpts(g *dag.Frozen, dopts decompose.Options) ([]int, err
 	pt := newProfileTable()
 	pids := make([]int, n)
 	for i, c := range dec.Components {
-		if c.Sub.NumNodes() == 1 {
+		sub := dec.Sub(i)
+		if sub.NumNodes() == 1 {
 			// An isolated job: trivially scheduled (it is a dag sink).
 			orders[i] = nil
 		} else {
-			cls, ok := bipartite.Classify(c.Sub)
+			cls, ok := bipartite.Classify(sub)
 			if !ok {
 				return nil, fmt.Errorf("%w: component %d has no known IC-optimal schedule", ErrUnknownBlock, c.Index)
 			}
 			orders[i] = cls.SourceOrder
 		}
-		p, err := EligibilityTrace(c.Sub, orders[i])
+		p, err := EligibilityTrace(sub, orders[i])
 		if err != nil {
 			return nil, fmt.Errorf("core: component %d: %v", i, err)
 		}
@@ -141,9 +142,9 @@ func TheoreticalScheduleOpts(g *dag.Frozen, dopts decompose.Options) ([]int, err
 	}
 	order := make([]int, 0, g.NumNodes())
 	for _, ci := range sorted {
-		c := dec.Components[ci]
+		nodes := dec.Nodes(ci)
 		for _, si := range orders[ci] {
-			order = append(order, c.Orig[si])
+			order = append(order, nodes[si])
 		}
 	}
 	for v := 0; v < g.NumNodes(); v++ {

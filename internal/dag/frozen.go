@@ -60,6 +60,7 @@ func (f *Frozen) init(names []string, index map[string]int, childStart, arena, b
 		arena:       arena,
 	}
 	scratch := backing[n+1 : n+1+n]
+	clear(scratch) // a View reuses backing
 	for ci := 0; ci < m; ci++ {
 		scratch[arena[ci]]++
 	}
@@ -80,44 +81,58 @@ func (f *Frozen) init(names []string, index map[string]int, childStart, arena, b
 	return f.finish(backing[n+1 : n+1 : len(backing)])
 }
 
-// FreezeBatch freezes len(bounds)-1 dags stored back to back in shared
-// arrays, for callers that carve many small graphs out of one large
-// one (the decomposer's components). Graph i has the nodes
-// names[bounds[i]:bounds[i+1]]; its n_i+1 forward CSR offsets are
-// childStart[bounds[i]+i : bounds[i+1]+i+1], counted from 0 within its
-// own arena window; and that window is the next 2*m_i entries of arena
-// (m_i being its last offset), with the children in the first m_i.
-// The parents half of each window is derived in place, and the
-// topological precomputes of all graphs share one array, so k graphs
-// cost two allocations rather than several each. FreezeBatch takes
-// ownership of all four slices and returns an error if the layout is
-// inconsistent or a graph has a cycle.
-func FreezeBatch(names []string, bounds []int, childStart, arena []int32) ([]Frozen, error) {
-	k := len(bounds) - 1
-	if k < 0 || bounds[0] != 0 || bounds[k] != len(names) || len(childStart) != len(names)+k {
-		return nil, fmt.Errorf("dag: FreezeBatch has %d names, %d bounds and %d offsets", len(names), len(bounds), len(childStart))
+// View is reusable storage for freezing many small dags one after
+// another: the components of a decomposition, each kept only as a
+// window of a forward CSR shared by all of them. Freeze re-initializes
+// the one Frozen the View owns, growing its storage only when a graph
+// outgrows every earlier one, so a loop over thousands of graphs costs
+// a handful of allocations and no GC-scanned header per graph. The zero
+// View is ready to use.
+type View struct {
+	g       Frozen
+	blank   []string // unnamed nodes
+	arena   []int32
+	backing []int32
+}
+
+// Freeze makes the View's graph the dag whose forward CSR is childStart
+// (n+1 offsets counted from 0) over children[:childStart[n]], and
+// returns it. Its node v is named names[v], or "" when names is nil.
+// The graph shares childStart and names with the caller and copies the
+// children, so the caller keeps ownership of all three; it is valid
+// until the next Freeze, which overwrites it. Freeze returns an error
+// if the graph has a cycle.
+func (w *View) Freeze(names []string, childStart, children []int32) (*Frozen, error) {
+	n := len(childStart) - 1
+	m := int(childStart[n])
+	w.Grow(n, m)
+	if names == nil {
+		names = w.blank[:n]
 	}
-	out := make([]Frozen, k)
-	backing := make([]int32, 4*len(names)+k)
-	a, b := 0, 0
-	for i := range out {
-		lo, hi := bounds[i], bounds[i+1]
-		n := hi - lo
-		cs := childStart[lo+i : hi+i+1 : hi+i+1]
-		m := int(cs[n])
-		if a+2*m > len(arena) {
-			return nil, fmt.Errorf("dag: FreezeBatch arena has %d entries, graph %d needs %d", len(arena), i, a+2*m)
-		}
-		if err := out[i].init(names[lo:hi:hi], nil, cs, arena[a:a+2*m:a+2*m], backing[b:b+4*n+1:b+4*n+1]); err != nil {
-			return nil, err
-		}
-		a += 2 * m
-		b += 4*n + 1
+	arena := w.arena[:2*m]
+	copy(arena, children[:m])
+	if err := w.g.init(names, nil, childStart[:n+1:n+1], arena, w.backing[:4*n+1]); err != nil {
+		return nil, err
 	}
-	if a != len(arena) {
-		return nil, fmt.Errorf("dag: FreezeBatch arena has %d entries, the graphs use %d", len(arena), a)
+	return &w.g, nil
+}
+
+// Grow makes room for graphs of up to n nodes and m arcs, so a caller
+// that knows the largest of the graphs it will freeze can size the
+// View once.
+func (w *View) Grow(n, m int) {
+	w.blank = grow(w.blank, n)
+	w.arena = grow(w.arena, 2*m)
+	w.backing = grow(w.backing, 4*n+1)
+}
+
+// grow returns s with capacity for at least n elements, keeping none of
+// its contents when it reallocates.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, max(n, 2*cap(s)))
 	}
-	return out, nil
+	return s
 }
 
 // finish computes the topological precomputes (topo, pos, sources) and

@@ -18,7 +18,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -549,10 +548,24 @@ const noPriority = math.MinInt
 // statement, which is where Fig. 3 shows it. VARS ALL_NODES lines are
 // never rewritten.
 func (f *File) InstrumentIDs(prio []int) []byte {
-	if len(prio) != len(f.Jobs) {
-		panic(fmt.Sprintf("dagman: InstrumentIDs got %d priorities for %d jobs", len(prio), len(f.Jobs)))
+	f.checkPriorities(prio)
+	return f.instrumented(prio)
+}
+
+// flushAt is how much instrumented text WriteInstrumented buffers
+// before it writes.
+const flushAt = 64 << 10
+
+// WriteInstrumented writes InstrumentIDs's text to w, about 64 KB per
+// Write, so the instrumented copy of a large file is never held in
+// memory whole. It returns the first error w reports.
+func (f *File) WriteInstrumented(w io.Writer, prio []int) error {
+	f.checkPriorities(prio)
+	buf, err := f.instrument(make([]byte, 0, flushAt+flushAt/8), w, prio, f.prioritized())
+	if err == nil && len(buf) > 0 {
+		_, err = w.Write(buf)
 	}
-	return f.appendInstrumented(nil, prio)
+	return err
 }
 
 // Instrument is InstrumentIDs for priorities keyed by job name. Jobs
@@ -573,22 +586,35 @@ func (f *File) Instrument(priorities map[string]int) string {
 		}
 	}
 	sort.Strings(missing)
-	buf := f.appendInstrumented(nil, prio)
+	buf := f.instrumented(prio)
 	for _, name := range missing {
 		buf = appendPriorityLine(buf, name, priorities[name])
 	}
 	return string(buf)
 }
 
-func (f *File) appendInstrumented(buf []byte, prio []int) []byte {
-	// One pass up front: which jobs already carry a jobpriority macro
-	// somewhere in the file, and the output size.
+func (f *File) checkPriorities(prio []int) {
+	if len(prio) != len(f.Jobs) {
+		panic(fmt.Sprintf("dagman: got %d priorities for %d jobs", len(prio), len(f.Jobs)))
+	}
+}
+
+// prioritized reports, per job, whether a jobpriority macro for it
+// appears somewhere in the file.
+func (f *File) prioritized() []bool {
 	has := make([]bool, len(f.Jobs))
 	for _, ln := range f.lines {
 		if ln.kind == linePrio && ln.id >= 0 {
 			has[ln.id] = true
 		}
 	}
+	return has
+}
+
+// instrumented returns the whole instrumented text, in a buffer sized
+// to it up front.
+func (f *File) instrumented(prio []int) []byte {
+	has := f.prioritized()
 	var digits [20]byte
 	size := f.size
 	for v, p := range prio {
@@ -599,7 +625,15 @@ func (f *File) appendInstrumented(buf []byte, prio []int) []byte {
 			}
 		}
 	}
-	buf = slices.Grow(buf, size)
+	buf, _ := f.instrument(make([]byte, 0, size), nil, prio, has)
+	return buf
+}
+
+// instrument is the one instrumentation loop: it appends the
+// instrumented text to buf line by line. With a nil w it returns the
+// whole text; otherwise, whenever buf reaches flushAt bytes, it writes
+// buf to w and goes on from buf[:0], and returns what is left to write.
+func (f *File) instrument(buf []byte, w io.Writer, prio []int, has []bool) ([]byte, error) {
 	for _, ln := range f.lines {
 		if ln.kind == linePrio && ln.id >= 0 && prio[ln.id] != noPriority {
 			buf = appendRewritten(buf, ln.raw, prio[ln.id])
@@ -610,8 +644,14 @@ func (f *File) appendInstrumented(buf []byte, prio []int) []byte {
 		if ln.kind == lineJob && !has[ln.id] && prio[ln.id] != noPriority {
 			buf = appendPriorityLine(buf, f.Jobs[ln.id].Name, prio[ln.id])
 		}
+		if w != nil && len(buf) >= flushAt {
+			if _, err := w.Write(buf); err != nil {
+				return nil, err
+			}
+			buf = buf[:0]
+		}
 	}
-	return buf
+	return buf, nil
 }
 
 // appendRewritten appends a VARS line with the value of each of its

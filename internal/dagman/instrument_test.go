@@ -1,10 +1,14 @@
 package dagman
 
 import (
+	"bytes"
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
 	"unicode"
+
+	"repro/internal/workloads"
 )
 
 // instrumentText parses text and instruments it with job v's priority
@@ -74,6 +78,69 @@ func TestInstrumentIDsLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	f.InstrumentIDs([]int{1, 2})
+}
+
+// chunkWriter records each Write, failing from the failAt-th one on
+// when failAt > 0.
+type chunkWriter struct {
+	chunks [][]byte
+	failAt int
+}
+
+var errWriteFailed = errors.New("write failed")
+
+func (w *chunkWriter) Write(p []byte) (int, error) {
+	if w.failAt > 0 && len(w.chunks)+1 >= w.failAt {
+		return 0, errWriteFailed
+	}
+	w.chunks = append(w.chunks, bytes.Clone(p))
+	return len(p), nil
+}
+
+// TestWriteInstrumentedMatchesInstrumentIDs streams the SDSS file, fresh
+// and reinstrumented, and checks that the writes add up to
+// InstrumentIDs's text, that each but the last ends with the first
+// input line (and the priority line it may gain) to reach flushAt
+// bytes, and that a
+// failing writer's error comes back.
+func TestWriteInstrumentedMatchesInstrumentIDs(t *testing.T) {
+	g := workloads.PaperSDSS()
+	prio := make([]int, g.NumNodes())
+	for v := range prio {
+		prio[v] = g.NumNodes() - v
+	}
+	fresh := FromGraph(g, nil)
+	again, err := Parse(bytes.NewReader(fresh.InstrumentIDs(prio)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range map[string]*File{"fresh": fresh, "reinstrument": again} {
+		want := f.InstrumentIDs(prio)
+		var w chunkWriter
+		if err := f.WriteInstrumented(&w, prio); err != nil {
+			t.Fatal(err)
+		}
+		if got := bytes.Join(w.chunks, nil); !bytes.Equal(got, want) {
+			t.Fatalf("%s: streamed %d bytes that differ from InstrumentIDs's %d", name, len(got), len(want))
+		}
+		if len(w.chunks) < 2 {
+			t.Fatalf("%s: %d bytes in %d writes", name, len(want), len(w.chunks))
+		}
+		for i, c := range w.chunks[:len(w.chunks)-1] {
+			before := bytes.LastIndexByte(c[:len(c)-1], '\n')
+			if bytes.HasPrefix(c[before+1:], []byte("Vars ")) {
+				before = bytes.LastIndexByte(c[:before], '\n')
+			}
+			if before+1 >= flushAt || len(c) < flushAt || c[len(c)-1] != '\n' {
+				t.Fatalf("%s: write %d has %d bytes, %d before its last line; want lines up to the first to reach %d", name, i, len(c), before+1, flushAt)
+			}
+		}
+		for _, failAt := range []int{1, 2, len(w.chunks)} {
+			if err := f.WriteInstrumented(&chunkWriter{failAt: failAt}, prio); err != errWriteFailed {
+				t.Fatalf("%s: write %d failed, WriteInstrumented returned %v", name, failAt, err)
+			}
+		}
+	}
 }
 
 // refMacro is one name="value" pair found by refVarsMacros: value is

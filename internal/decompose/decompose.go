@@ -7,21 +7,15 @@ import (
 	"repro/internal/dag"
 )
 
-// Component is one detached piece of the dag, in detachment order.
+// Component is one detached piece of the dag, in detachment order. It
+// holds no pointers: its jobs and arcs are a window over storage shared
+// by the whole Result, read through Result.Nodes, Result.Window and
+// Result.Sub.
 type Component struct {
 	// Index is the component's position in detachment order.
 	Index int
-	// Nodes holds the original node ids of every job in the component,
-	// ascending. A job can appear in two components: as a sink of an
-	// earlier one and again in a later one (where it is eventually
-	// executed or deferred as a dag sink).
-	Nodes []int
-	// Sub is the subgraph induced by Nodes on the shortcut-free dag;
-	// Orig maps Sub's node indices back to original ids.
-	Sub  *dag.Frozen
-	Orig []int
-	// NonSinkCount is the number of jobs of Sub that have children
-	// within Sub — the jobs that the component's schedule executes.
+	// NonSinkCount is the number of the component's jobs that have
+	// children within it — the jobs that its schedule executes.
 	NonSinkCount int
 	// Bipartite records whether the component is a two-level dag (every
 	// internal arc runs source -> sink).
@@ -33,6 +27,10 @@ type Component struct {
 	// FastPath when the general closure happened to produce a two-level
 	// dag in a round where the strict decomposition would have failed.
 	FastPath bool
+	// The window: members[lo:hi] are the jobs, childStart[lo+Index :
+	// hi+Index+1] their local child offsets, and children[arc:] the
+	// arcs those offsets count.
+	lo, hi, arc int32
 }
 
 // Result is the outcome of decomposition.
@@ -42,8 +40,6 @@ type Result struct {
 	Reduced   *dag.Frozen
 	Shortcuts []dag.Arc
 	// Components lists the detached components in detachment order.
-	// Their Nodes, Orig and Sub are windows over storage shared by the
-	// whole Result.
 	Components []Component
 	// Super is the superdag: node i is component i (its name is empty);
 	// an arc i -> j records that component j cannot start before
@@ -54,6 +50,53 @@ type Result struct {
 	// executes job v, or -1 when v is a sink of the whole dag (executed
 	// in the final phase).
 	ScheduledIn []int
+
+	// Every component's members, then its local-index child CSR, back
+	// to back in component order (see Component).
+	members    []int
+	childStart []int32
+	children   []int32
+}
+
+// Nodes returns the original node ids of component i's jobs, ascending;
+// the component's local node j is Nodes(i)[j]. A job can appear in two
+// components: as a sink of an earlier one and again in a later one
+// (where it is eventually executed or deferred as a dag sink). The
+// slice is a view into shared storage which the caller must not modify.
+func (r *Result) Nodes(i int) []int {
+	c := &r.Components[i]
+	return r.members[c.lo:c.hi:c.hi]
+}
+
+// Window returns component i's subgraph — the one induced by Nodes(i)
+// on Reduced — as a forward CSR over local node indices: the children
+// of local node j are children[childStart[j]:childStart[j+1]], the
+// offsets counted from 0. A component's arcs are the reduced arcs from
+// the jobs it schedules to its other members. dag.View.Freeze turns the
+// window into a graph; both slices are views into shared storage which
+// the caller must not modify.
+func (r *Result) Window(i int) (childStart, children []int32) {
+	c := &r.Components[i]
+	lo, hi := int(c.lo)+i, int(c.hi)+i+1
+	childStart = r.childStart[lo:hi:hi]
+	return childStart, r.children[c.arc : int(c.arc)+int(childStart[len(childStart)-1])]
+}
+
+// Sub builds component i's subgraph as a new graph, its local node j
+// named as Nodes(i)[j] is in Reduced. Hot loops over many components
+// freeze Window into one reused dag.View instead.
+func (r *Result) Sub(i int) *dag.Frozen {
+	nodes := r.Nodes(i)
+	names := make([]string, len(nodes))
+	for j, v := range nodes {
+		names[j] = r.Reduced.Name(v)
+	}
+	childStart, children := r.Window(i)
+	g, err := new(dag.View).Freeze(names, childStart, children)
+	if err != nil {
+		panic(err) // unreachable: an induced subgraph of a dag is a dag
+	}
+	return g
 }
 
 // Options tunes the decomposition; no field changes the result.
@@ -194,19 +237,14 @@ func (d *decomposer) finish() *Result {
 }
 
 // cutWindows lays every component out in storage shared by the whole
-// Result and points its Nodes, Orig and Sub there: one member array,
-// one name table, one induced-subgraph CSR, and one batch of frozen
-// subgraph headers, with no allocation per component. Walking jobs in
-// index order leaves each component's members ascending. A component's
-// arcs are the reduced arcs from the jobs it schedules to its other
-// members: exactly the arcs whose both endpoints were alive members
-// when it was detached.
+// Result: one member array and one local-index child CSR, with no
+// allocation per component. Walking jobs in index order leaves each
+// component's members ascending. A component's arcs are the reduced
+// arcs from the jobs it schedules to its other members: exactly the
+// arcs whose both endpoints were alive members when it was detached.
 func (d *decomposer) cutWindows() {
 	k := len(d.kinds)
 	comps := make([]Component, k)
-	for i, kd := range d.kinds {
-		comps[i] = Component{Index: i, Bipartite: kd.bipartite, FastPath: kd.fastPath}
-	}
 	for _, i := range d.result.ScheduledIn {
 		if i != -1 {
 			comps[i].NonSinkCount++
@@ -234,45 +272,36 @@ func (d *decomposer) cutWindows() {
 		next[o]++
 	}
 
-	names := make([]string, len(members))
 	childStart := make([]int32, len(members)+k)
-	arena := make([]int32, 2*d.arcs)
+	children := make([]int32, d.arcs)
 	a := 0
-	for i := range comps {
-		nodes := members[bounds[i]:bounds[i+1]]
+	for i, kd := range d.kinds {
+		lo, hi := bounds[i], bounds[i+1]
+		nodes := members[lo:hi]
 		for j, v := range nodes {
 			d.mark[v] = int32(j)
-			names[bounds[i]+j] = d.g.Name(v)
 		}
-		cs := childStart[bounds[i]+i : bounds[i+1]+i+1]
+		cs := childStart[lo+i : hi+i+1]
 		base := a
 		for j, u := range nodes {
 			if d.result.ScheduledIn[u] == i {
 				for _, c := range d.g.Children(u) {
 					if d.mark[c] >= 0 {
-						arena[a] = d.mark[c]
+						children[a] = d.mark[c]
 						a++
 					}
 				}
 			}
 			cs[j+1] = int32(a - base)
 		}
-		a += a - base // the parents half, which FreezeBatch derives
 		for _, v := range nodes {
 			d.mark[v] = -1
 		}
+		comps[i].Index, comps[i].Bipartite, comps[i].FastPath = i, kd.bipartite, kd.fastPath
+		comps[i].lo, comps[i].hi, comps[i].arc = int32(lo), int32(hi), int32(base)
 	}
-	subs, err := dag.FreezeBatch(names, bounds, childStart, arena)
-	if err != nil {
-		panic(err) // unreachable: an induced subgraph of a dag is a dag
-	}
-	for i := range comps {
-		lo, hi := bounds[i], bounds[i+1]
-		comps[i].Nodes = members[lo:hi:hi]
-		comps[i].Orig = comps[i].Nodes
-		comps[i].Sub = &subs[i]
-	}
-	d.result.Components = comps
+	r := d.result
+	r.Components, r.members, r.childStart, r.children = comps, members, childStart, children
 }
 
 // superArcs lists the superdag's arcs, repeats included, in the order
@@ -291,7 +320,7 @@ func (d *decomposer) superArcs() (from, to []int32) {
 	from = make([]int32, 0, d.shared+d.g.NumArcs())
 	to = make([]int32, 0, d.shared+d.g.NumArcs())
 	for i := range d.result.Components {
-		for _, v := range d.result.Components[i].Nodes {
+		for _, v := range d.result.Nodes(i) {
 			if f := d.first[v]; f != -1 && int(d.owner[v]) == i {
 				from, to = append(from, f), append(to, int32(i))
 			}

@@ -24,9 +24,9 @@ func build(t testing.TB, nodes []string, arcs ...string) *dag.Frozen {
 	return b.MustFreeze()
 }
 
-func names(g *dag.Frozen, comp Component) []string {
+func names(g *dag.Frozen, r *Result, i int) []string {
 	var out []string
-	for _, v := range comp.Nodes {
+	for _, v := range r.Nodes(i) {
 		out = append(out, g.Name(v))
 	}
 	sort.Strings(out)
@@ -45,19 +45,20 @@ func checkInvariants(t *testing.T, g *dag.Frozen, r *Result) {
 		if c.Index != i {
 			t.Fatalf("component %d has Index %d", i, c.Index)
 		}
-		if len(c.Nodes) != c.Sub.NumNodes() || len(c.Orig) != len(c.Nodes) {
+		sub := r.Sub(i)
+		if len(r.Nodes(i)) != sub.NumNodes() {
 			t.Fatalf("component %d node bookkeeping inconsistent", i)
 		}
 		nonSinks := 0
-		for s := 0; s < c.Sub.NumNodes(); s++ {
-			if c.Sub.OutDegree(s) > 0 {
+		for s := 0; s < sub.NumNodes(); s++ {
+			if sub.OutDegree(s) > 0 {
 				nonSinks++
 			}
 		}
 		if nonSinks != c.NonSinkCount {
 			t.Fatalf("component %d NonSinkCount %d, actual %d", i, c.NonSinkCount, nonSinks)
 		}
-		for _, v := range c.Nodes {
+		for _, v := range r.Nodes(i) {
 			covered[v] = true
 		}
 	}
@@ -80,9 +81,10 @@ func checkInvariants(t *testing.T, g *dag.Frozen, r *Result) {
 		t.Fatalf("scheduled %d + sinks %d != nodes %d", scheduled, len(g.Sinks()), g.NumNodes())
 	}
 	// Every component's scheduled set must equal its subgraph non-sinks.
-	for i, c := range r.Components {
-		for s, v := range c.Orig {
-			if c.Sub.OutDegree(s) > 0 && r.ScheduledIn[v] != i {
+	for i := range r.Components {
+		sub := r.Sub(i)
+		for s, v := range r.Nodes(i) {
+			if sub.OutDegree(s) > 0 && r.ScheduledIn[v] != i {
 				t.Fatalf("non-sink %s of component %d scheduled in %d", g.Name(v), i, r.ScheduledIn[v])
 			}
 		}
@@ -96,10 +98,10 @@ func TestFig3Dag(t *testing.T) {
 	if len(r.Components) != 2 {
 		t.Fatalf("got %d components, want 2", len(r.Components))
 	}
-	if got := names(g, r.Components[0]); !eq(got, []string{"a", "b"}) {
+	if got := names(g, r, 0); !eq(got, []string{"a", "b"}) {
 		t.Fatalf("C0 = %v", got)
 	}
-	if got := names(g, r.Components[1]); !eq(got, []string{"c", "d", "e"}) {
+	if got := names(g, r, 1); !eq(got, []string{"c", "d", "e"}) {
 		t.Fatalf("C1 = %v", got)
 	}
 	if r.Super.NumArcs() != 0 {
@@ -119,8 +121,8 @@ func TestChainSharedNode(t *testing.T) {
 	if len(r.Components) != 2 {
 		t.Fatalf("components = %d, want 2", len(r.Components))
 	}
-	if !eq(names(g, r.Components[0]), []string{"a", "b"}) || !eq(names(g, r.Components[1]), []string{"b", "c"}) {
-		t.Fatalf("components = %v, %v", names(g, r.Components[0]), names(g, r.Components[1]))
+	if !eq(names(g, r, 0), []string{"a", "b"}) || !eq(names(g, r, 1), []string{"b", "c"}) {
+		t.Fatalf("components = %v, %v", names(g, r, 0), names(g, r, 1))
 	}
 	if !r.Super.HasArc(0, 1) {
 		t.Fatal("superdag must order C0 before C1 (shared node b)")
@@ -137,11 +139,11 @@ func TestDiamond(t *testing.T) {
 	if len(r.Components) != 2 {
 		t.Fatalf("components = %d, want 2", len(r.Components))
 	}
-	if !eq(names(g, r.Components[0]), []string{"a", "b", "c"}) {
-		t.Fatalf("C0 = %v", names(g, r.Components[0]))
+	if !eq(names(g, r, 0), []string{"a", "b", "c"}) {
+		t.Fatalf("C0 = %v", names(g, r, 0))
 	}
-	if !eq(names(g, r.Components[1]), []string{"b", "c", "d"}) {
-		t.Fatalf("C1 = %v", names(g, r.Components[1]))
+	if !eq(names(g, r, 1), []string{"b", "c", "d"}) {
+		t.Fatalf("C1 = %v", names(g, r, 1))
 	}
 }
 
@@ -167,8 +169,8 @@ func TestIsolatedNodes(t *testing.T) {
 	if len(r.Components) != 2 {
 		t.Fatalf("components = %d", len(r.Components))
 	}
-	for _, c := range r.Components {
-		if c.NonSinkCount != 0 || len(c.Nodes) != 1 {
+	for i, c := range r.Components {
+		if c.NonSinkCount != 0 || len(r.Nodes(i)) != 1 {
 			t.Fatalf("singleton component wrong: %+v", c)
 		}
 	}
@@ -198,7 +200,7 @@ func TestGeneralPathCrossed(t *testing.T) {
 	if c.Bipartite {
 		t.Fatal("crossed component wrongly marked bipartite")
 	}
-	if len(c.Nodes) != 6 || c.NonSinkCount != 4 {
+	if len(r.Nodes(0)) != 6 || c.NonSinkCount != 4 {
 		t.Fatalf("component = %+v", c)
 	}
 }
@@ -276,8 +278,8 @@ func TestFastPathMatchesGeneralPath(t *testing.T) {
 
 func componentSignatures(r *Result) []string {
 	sigs := make([]string, len(r.Components))
-	for i, c := range r.Components {
-		sigs[i] = fmt.Sprint(c.Nodes)
+	for i := range r.Components {
+		sigs[i] = fmt.Sprint(r.Nodes(i))
 	}
 	sort.Strings(sigs)
 	return sigs

@@ -30,15 +30,19 @@
 // to it round by round, and BenchmarkAblationFastPath times it as the
 // pre-Section-3.5 design.
 //
-// Components are windows over storage shared by the whole Result.
-// Peeling records only which components each job belongs to (at most
-// two: one that holds it as a sink it cannot yet detach, and the one
-// that schedules it or defers it as a dag sink). When peeling ends, one
-// pass lays out every component's members, names and local-index child
-// CSR back to back, and dag.FreezeBatch builds every Sub header into
-// one slice over those arrays. Both rounds run on reusable scratch, so
-// decomposing a dag into tens of thousands of components costs a few
-// hundred allocations in all, none per component.
+// Components are pointer-free windows over storage shared by the
+// whole Result. Peeling records only which components each job belongs
+// to (at most two: one that holds it as a sink it cannot yet detach,
+// and the one that schedules it or defers it as a dag sink). When
+// peeling ends, one pass lays out every component's members and
+// local-index child CSR back to back, and a Component keeps only its
+// offsets into them: Result.Nodes(i) returns its jobs, Result.Window(i)
+// its CSR. Callers that walk many components freeze each window in turn
+// into one reused dag.View, as the core package's Recurse phase does;
+// Result.Sub(i) builds a named graph on demand. Both rounds run on
+// reusable scratch, so decomposing a dag into tens of thousands of
+// components costs a few hundred allocations in all, none per
+// component, and no per-component header for the GC to scan.
 //
 // Step 1's transitive reduction can be memoized across pipeline stages
 // by supplying Options.ReduceCache (see dag.ReduceCache); core.Options
@@ -49,7 +53,7 @@
 // The decomposition is deterministic: components are detached in a
 // fixed order (fast-path blocks by smallest member, general closures by
 // size then smallest source), Component.Index equals both the
-// detachment position and the superdag node index, and Component.Nodes
+// detachment position and the superdag node index, and Result.Nodes(i)
 // is ascending. Every superdag arc points from an earlier-detached
 // component to a later one, so the superdag is acyclic by construction.
 // A job appears as a non-sink of at most one component

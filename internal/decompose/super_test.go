@@ -26,7 +26,7 @@ func builderSuper(r *Result) *dag.Frozen {
 	}
 	for _, c := range r.Components {
 		b.AddNode(fmt.Sprintf("C%d", c.Index))
-		for _, v := range c.Nodes {
+		for _, v := range r.Nodes(c.Index) {
 			if prev := owner[v]; prev != -1 && prev != c.Index {
 				addArc(prev, c.Index)
 			}

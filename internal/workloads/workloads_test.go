@@ -114,9 +114,9 @@ func TestInspiralNonBipartiteComponent(t *testing.T) {
 	// The paper: "the Inspiral includes a non-bipartite component with
 	// over 1000 jobs".
 	biggest := 0
-	for _, cs := range s.Components {
-		if cs.Family == bipartite.Unknown && len(cs.Comp.Nodes) > biggest {
-			biggest = len(cs.Comp.Nodes)
+	for i, cs := range s.Components {
+		if n := len(s.Decomposition.Nodes(i)); cs.Family == bipartite.Unknown && n > biggest {
+			biggest = n
 		}
 	}
 	if biggest <= 1000 {
@@ -140,8 +140,8 @@ func TestMontageBipartiteComponent(t *testing.T) {
 	// Find the projection/difference component: bipartite, with sources
 	// of out-degree between 2 and 10, some children shared.
 	found := false
-	for _, cs := range s.Components {
-		sub := cs.Comp.Sub
+	for i := range s.Components {
+		sub := s.Decomposition.Sub(i)
 		// the component of interest is the projection/difference stage
 		// (mDiff.0 also reappears later as the source of its fit pair)
 		if sub.IndexOf("mDiff.0") < 0 || sub.IndexOf("mProject.0") < 0 || !sub.IsBipartiteDag() {
@@ -171,9 +171,9 @@ func TestMontagePaperComponentOver1000(t *testing.T) {
 	g := PaperMontage()
 	s := core.Prioritize(g)
 	biggest := 0
-	for _, cs := range s.Components {
-		if cs.Comp.Sub.IsBipartiteDag() && len(cs.Comp.Nodes) > biggest {
-			biggest = len(cs.Comp.Nodes)
+	for i := range s.Components {
+		if n := len(s.Decomposition.Nodes(i)); s.Decomposition.Sub(i).IsBipartiteDag() && n > biggest {
+			biggest = n
 		}
 	}
 	if biggest <= 1000 {
@@ -210,9 +210,9 @@ func TestSDSSStructure(t *testing.T) {
 	}
 	// the brg/calib/field stage must form one big bipartite component
 	biggest := 0
-	for _, cs := range s.Components {
-		if cs.Comp.Sub.IsBipartiteDag() && len(cs.Comp.Nodes) > biggest {
-			biggest = len(cs.Comp.Nodes)
+	for i := range s.Components {
+		if n := len(s.Decomposition.Nodes(i)); s.Decomposition.Sub(i).IsBipartiteDag() && n > biggest {
+			biggest = n
 		}
 	}
 	if biggest < 205 {
