@@ -11,10 +11,22 @@
 // attribute in each JSDF. The indirection through the jobpriority macro
 // is deliberate — a single JSDF may be shared by jobs of several DAGMan
 // files needing different priorities.
+//
+// A parsed File keeps the input text whole, and every job name and
+// submit-file reference is a substring of it. Beside the text it holds
+// no per-line record, only what a later stage needs, in pointer-free
+// arrays: the dependency arcs as pairs of int32 job ids; a file-ordered
+// edit list of the places an instrumented copy differs from the text
+// (the value of each jobpriority macro, and the point after each JOB
+// line where a job without one gets its VARS line); and an
+// open-addressing table from job name to id, hashed with a seed drawn
+// once per process. Instrumenting copies the text between edits in
+// bulk; String is the text itself.
 package dagman
 
 import (
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math"
 	"os"
@@ -39,25 +51,9 @@ type Job struct {
 // Dep is one parent -> child dependency.
 type Dep struct{ Parent, Child string }
 
-// lineKind tags a preserved input line.
-type lineKind uint8
-
-const (
-	lineOther lineKind = iota // comments, blanks, PARENT, CONFIG, RETRY, ...
-	lineJob                   // JOB or NODE statement; id is the job
-	lineVars                  // VARS statement without a jobpriority macro
-	linePrio                  // VARS statement with one; id is its job
-)
-
-type line struct {
-	raw  string
-	kind lineKind
-	id   int32
-}
-
-// File is a parsed DAGMan input file. It preserves enough of the
-// original text to write an instrumented copy that differs only by the
-// added or updated priority values.
+// File is a parsed DAGMan input file. It keeps the text it was parsed
+// from and the few places where an instrumented copy differs from it,
+// so that copy differs only by the added or updated priority values.
 //
 // Every job name is resolved once, by the parser: after Parse, jobs are
 // int32 ids (their index in Jobs, which is also their node in Graph's
@@ -67,9 +63,17 @@ type File struct {
 	// Splices lists SPLICE statements; resolve them with Flatten before
 	// building the dependency graph.
 	Splices []Splice
-	lines   []line
-	size    int            // length of String()
-	index   map[string]int // job name -> Jobs index, shared with Graph's dag
+	// text is the input with every line ending in \n (see normalize):
+	// String returns it, and every name above is a substring of it.
+	text string
+	// edits lists, in text order, where an instrumented copy differs
+	// from text.
+	edits []edit
+	// slots is the name table: an open-addressing hash table, at most
+	// half full, whose slot holds 32 bits of a name's hash (never zero)
+	// over the name's id, or 0 when empty. used counts the full slots.
+	slots []uint64
+	used  int
 	// The dependencies, one arc per PARENT/CHILD pair in file order,
 	// repeats included: arc i runs from[i] -> to[i]. An id v >= 0 is
 	// job v; v < 0 is the name undeclared[^v] that no JOB declares (a
@@ -78,21 +82,35 @@ type File struct {
 	undeclared []string
 }
 
-// parser is the state of one Parse: the file under construction, the
-// reusable tokenizer output, and the names referenced before (or
-// without) a JOB line, which index maps to ^k while parsing.
+// edit is one place where an instrumented copy differs from the text:
+// job's priority replaces text[at:end], the value of one of its
+// jobpriority macros, or, when end is insertLine, a VARS line setting
+// it goes in at offset at, just after the job's JOB line.
+type edit struct{ at, end, job int32 }
+
+const insertLine = -1
+
+// parser is the state of one Parse: the file under construction and
+// the reusable tokenizer output. While parsing, undeclared holds the
+// names referenced before (or without) a JOB line, and jobOf the job
+// that later declared each, or -1.
 type parser struct {
-	f       *File
-	fields  []string
-	ids     []int32
-	pending []string
+	f      *File
+	fields []string
+	ids    []int32
+	jobOf  []int32
+	macros int // jobpriority macros seen
 }
 
+// nameSeed seeds the name table's hash. Drawn per process, it keeps a
+// hostile input (priod parses what clients post) from choosing names
+// that collide.
+var nameSeed = maphash.MakeSeed()
+
 // Parse reads a DAGMan input file. The whole input is read into one
-// string and every line, job name, and submit-file reference is a
-// substring of it, so parsing costs a handful of allocations per file
-// (the retained slices and the name index) plus one per job with
-// trailing JOB tokens.
+// string and every job name and submit-file reference is a substring
+// of it, so parsing costs a handful of allocations per file (the
+// retained arrays) plus one per job with trailing JOB tokens.
 func Parse(r io.Reader) (*File, error) {
 	return parseFrom(r, 0)
 }
@@ -122,33 +140,62 @@ func parseFrom(r io.Reader, size int) (*File, error) {
 }
 
 func parse(text string) (*File, error) {
+	text = normalize(text)
+	if len(text) > math.MaxInt32 {
+		return nil, fmt.Errorf("dagman: %d bytes is more than a DAGMan file may hold", len(text))
+	}
 	// Presized from the line count: files as FromGraph writes them have
-	// about one JOB line in two, decorated files fewer.
-	lines := strings.Count(text, "\n") + 1
+	// about one JOB line in two, decorated files fewer. The name table,
+	// which is written all over, starts at a quarter of that and
+	// doubles as it fills.
+	jobs := (strings.Count(text, "\n") + 1) / 2
 	p := parser{f: &File{
-		lines: make([]line, 0, lines),
-		index: make(map[string]int, lines/2),
-		Jobs:  make([]Job, 0, lines/2),
+		text:  text,
+		Jobs:  make([]Job, 0, jobs),
+		edits: make([]edit, 0, jobs),
+		slots: make([]uint64, tableSize(jobs/4)),
 	}}
 	lineNo := 0
 	for start := 0; start < len(text); {
-		var raw string
-		if end := strings.IndexByte(text[start:], '\n'); end < 0 {
-			raw = text[start:]
-			start = len(text)
-		} else {
-			raw = text[start : start+end]
-			start += end + 1
-		}
-		// Like bufio.ScanLines, a \r\n terminator counts as a plain \n.
-		raw = strings.TrimSuffix(raw, "\r")
+		next := start + strings.IndexByte(text[start:], '\n') + 1
 		lineNo++
-		if err := p.addLine(raw, lineNo); err != nil {
+		// Like bufio.ScanLines, a \r\n terminator counts as a plain \n.
+		raw := strings.TrimSuffix(text[start:next-1], "\r")
+		if err := p.addLine(raw, start, next, lineNo); err != nil {
 			return nil, err
 		}
+		start = next
 	}
 	p.resolve()
 	return p.f, nil
+}
+
+// normalize returns text with every line ending in \n, the way it is
+// written back: a line's \r\n terminator reads as a plain \n (as in
+// bufio.ScanLines), so a \r before it is dropped unless the line still
+// ends in \r without it, and a last line with no terminator gets one.
+// Text already in that form, as almost every file is, comes back as
+// is, without a copy.
+func normalize(text string) string {
+	if strings.IndexByte(text, '\r') < 0 && (text == "" || text[len(text)-1] == '\n') {
+		return text
+	}
+	var b strings.Builder
+	b.Grow(len(text) + 1)
+	for start := 0; start < len(text); {
+		end := strings.IndexByte(text[start:], '\n')
+		if end < 0 {
+			end = len(text) - start
+		}
+		raw := strings.TrimSuffix(text[start:start+end], "\r")
+		b.WriteString(raw)
+		if strings.HasSuffix(raw, "\r") {
+			b.WriteByte('\r')
+		}
+		b.WriteByte('\n')
+		start += end + 1
+	}
+	return b.String()
 }
 
 // asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
@@ -207,6 +254,13 @@ func appendFields(dst []string, s string) []string {
 	}
 }
 
+// keyword returns the first field of a line: its statement keyword,
+// or "" for a blank line.
+func keyword(line string) string {
+	start, end := nextField(line, 0)
+	return line[start:end]
+}
+
 // isKeyword reports whether strings.ToUpper(tok) == kw for an
 // upper-case ASCII keyword, comparing bytes rather than building the
 // upper-cased copy. Only a token longer than kw with non-ASCII bytes
@@ -245,60 +299,138 @@ func cloneTail(fields []string) []string {
 	return append([]string(nil), fields...)
 }
 
+// tableSize returns the name table length for n names: a power of two
+// at least 2n, so the table starts at most half full.
+func tableSize(n int) int {
+	size := 8
+	for size < 2*n {
+		size *= 2
+	}
+	return size
+}
+
+// slot returns the index of name's slot in the name table: the one
+// holding it, or else the empty one where it belongs. tag is the 32
+// hash bits a slot of name holds; they also choose where its probe
+// starts, so the table can grow without hashing a name again.
+func (f *File) slot(name string) (i int, tag uint64) {
+	tag = maphash.String(nameSeed, name)>>32 | 1
+	mask := len(f.slots) - 1
+	for i = int(tag>>1) & mask; ; i = (i + 1) & mask {
+		s := f.slots[i]
+		if s == 0 || s>>32 == tag && f.name(int32(uint32(s))) == name {
+			return i, tag
+		}
+	}
+}
+
+// fill stores id in the empty slot i for a name of hash bits tag,
+// doubling the table when it gets more than half full.
+func (f *File) fill(i int, tag uint64, id int32) {
+	f.slots[i] = tag<<32 | uint64(uint32(id))
+	if f.used++; 2*f.used <= len(f.slots) {
+		return
+	}
+	old := f.slots
+	f.slots = make([]uint64, 2*len(old))
+	mask := len(f.slots) - 1
+	for _, s := range old {
+		if s != 0 {
+			i := int(s>>33) & mask
+			for f.slots[i] != 0 {
+				i = (i + 1) & mask
+			}
+			f.slots[i] = s
+		}
+	}
+}
+
+// lookup returns the Jobs index of a declared job name.
+func (f *File) lookup(name string) (int, bool) {
+	if len(f.slots) == 0 {
+		return 0, false
+	}
+	i, _ := f.slot(name)
+	id := int32(uint32(f.slots[i]))
+	return int(id), f.slots[i] != 0 && id >= 0
+}
+
 // intern returns the id of a job name: its Jobs index when declared,
 // else ^k for the k-th name referenced ahead of its JOB line.
 func (p *parser) intern(name string) int32 {
-	if id, ok := p.f.index[name]; ok {
-		return int32(id)
+	f := p.f
+	i, tag := f.slot(name)
+	if s := f.slots[i]; s != 0 {
+		return int32(uint32(s))
 	}
-	id := ^len(p.pending)
-	p.pending = append(p.pending, name)
-	p.f.index[name] = id
-	return int32(id)
+	id := int32(^len(f.undeclared))
+	f.undeclared = append(f.undeclared, name)
+	p.jobOf = append(p.jobOf, -1)
+	f.fill(i, tag, id)
+	return id
 }
 
-// resolve runs once at the end of the parse: names referenced before
+// resolve runs once at the end of the parse. Names referenced before
 // their JOB line take the job's id, and the rest (splices, missing
-// jobs) become File.undeclared, leaving index with declared jobs only.
+// jobs) are renumbered into File.undeclared. The edit list loses the
+// new VARS lines of jobs that have a jobpriority macro somewhere, and
+// the macros of jobs no JOB declares, which instrumenting leaves alone.
 func (p *parser) resolve() {
-	if len(p.pending) == 0 {
+	f := p.f
+	if len(p.jobOf) > 0 {
+		remap := p.jobOf
+		pending := f.undeclared
+		f.undeclared = nil
+		for k, v := range remap {
+			if v < 0 {
+				remap[k] = int32(^len(f.undeclared))
+				f.undeclared = append(f.undeclared, pending[k])
+			}
+		}
+		fix := func(id *int32) {
+			if *id < 0 {
+				*id = remap[^*id]
+			}
+		}
+		for i := range f.from {
+			fix(&f.from[i])
+			fix(&f.to[i])
+		}
+		for i := range f.edits {
+			fix(&f.edits[i].job)
+		}
+		for i, s := range f.slots {
+			if id := int32(uint32(s)); s != 0 && id < 0 {
+				f.slots[i] = s&^math.MaxUint32 | uint64(uint32(remap[^id]))
+			}
+		}
+	}
+	if p.macros == 0 {
 		return
 	}
-	f := p.f
-	remap := make([]int32, len(p.pending))
-	for k, name := range p.pending {
-		if id := f.index[name]; id >= 0 {
-			remap[k] = int32(id)
-			continue
-		}
-		delete(f.index, name)
-		remap[k] = int32(^len(f.undeclared))
-		f.undeclared = append(f.undeclared, name)
-	}
-	fix := func(id *int32) {
-		if *id < 0 {
-			*id = remap[^*id]
+	has := make([]bool, len(f.Jobs))
+	for _, e := range f.edits {
+		if e.end != insertLine && e.job >= 0 {
+			has[e.job] = true
 		}
 	}
-	for i := range f.from {
-		fix(&f.from[i])
-		fix(&f.to[i])
-	}
-	for i := range f.lines {
-		if f.lines[i].kind == linePrio {
-			fix(&f.lines[i].id)
+	kept := f.edits[:0]
+	for _, e := range f.edits {
+		if e.job >= 0 && (e.end != insertLine || !has[e.job]) {
+			kept = append(kept, e)
 		}
 	}
+	f.edits = kept
 }
 
-// addLine parses one line, tokenizing only what its statement needs:
-// the keyword first, then every field of a JOB, NODE, PARENT or SPLICE
-// line, but of a VARS line only the job and the third field (checked to
-// exist, and skipped when it is PREPEND or APPEND), from where the
-// macro scan starts. Other statements are kept as text.
-func (p *parser) addLine(raw string, lineNo int) error {
+// addLine parses one line, raw, which spans text[start:next] less its
+// terminator. It tokenizes only what its statement needs: the keyword
+// first, then every field of a JOB, NODE, PARENT or SPLICE line, but of
+// a VARS line only the job and the third field (checked to exist, and
+// skipped when it is PREPEND or APPEND), from where the macro scan
+// starts. Other statements stay in the text untouched.
+func (p *parser) addLine(raw string, start, next, lineNo int) error {
 	f := p.f
-	ln := line{raw: raw}
 	k0, k1 := nextField(raw, 0)
 	switch kw := raw[k0:k1]; {
 	case kw == "" || kw[0] == '#':
@@ -308,7 +440,9 @@ func (p *parser) addLine(raw string, lineNo int) error {
 			return fmt.Errorf("dagman: line %d: %s needs a name and a submit file", lineNo, strings.ToUpper(kw))
 		}
 		name := fields[1]
-		if id, dup := f.index[name]; dup && id >= 0 {
+		i, tag := f.slot(name)
+		id := int32(uint32(f.slots[i]))
+		if f.slots[i] != 0 && id >= 0 {
 			return fmt.Errorf("dagman: line %d: duplicate job %q", lineNo, name)
 		}
 		for _, s := range f.Splices {
@@ -316,9 +450,15 @@ func (p *parser) addLine(raw string, lineNo int) error {
 				return fmt.Errorf("dagman: line %d: job %q collides with a splice name", lineNo, name)
 			}
 		}
-		ln.kind, ln.id = lineJob, int32(len(f.Jobs))
-		f.index[name] = len(f.Jobs)
+		v := int32(len(f.Jobs))
 		f.Jobs = append(f.Jobs, Job{Name: name, SubmitFile: fields[2], Extra: cloneTail(fields[3:])})
+		if f.slots[i] != 0 {
+			p.jobOf[^id] = v
+			f.slots[i] = tag<<32 | uint64(v)
+		} else {
+			f.fill(i, tag, v)
+		}
+		f.edits = append(f.edits, edit{at: int32(next), end: insertLine, job: v})
 	case isKeyword(kw, "PARENT"):
 		fields := p.split(raw)
 		childAt := -1
@@ -351,13 +491,23 @@ func (p *parser) addLine(raw string, lineNo int) error {
 		if t0 == t1 {
 			return fmt.Errorf("dagman: line %d: VARS needs a job and an assignment", lineNo)
 		}
-		ln.kind = lineVars
 		pairs := j1
 		if isPlacement(raw[t0:t1]) {
 			pairs = t1
 		}
-		if job := raw[j0:j1]; !strings.EqualFold(job, "ALL_NODES") && hasPriorityMacro(raw, pairs) {
-			ln.kind, ln.id = linePrio, p.intern(job)
+		job := raw[j0:j1]
+		if strings.EqualFold(job, "ALL_NODES") {
+			break
+		}
+		id, interned := int32(0), false
+		for m, i, ok := nextMacro(raw, pairs); ok; m, i, ok = nextMacro(raw, i) {
+			if m.isPriority(raw) {
+				if !interned {
+					id, interned = p.intern(job), true
+				}
+				f.edits = append(f.edits, edit{at: int32(start + m.val0), end: int32(start + m.val1), job: id})
+				p.macros++
+			}
 		}
 	case isKeyword(kw, "SPLICE"):
 		if err := f.parseSplice(p.split(raw), lineNo); err != nil {
@@ -366,8 +516,6 @@ func (p *parser) addLine(raw string, lineNo int) error {
 	default:
 		// RETRY, SCRIPT, CONFIG, DOT, MAXJOBS, PRIORITY, ... preserved.
 	}
-	f.lines = append(f.lines, ln)
-	f.size += len(raw) + len(eol(raw))
 	return nil
 }
 
@@ -388,17 +536,6 @@ func (p *parser) split(raw string) []string {
 // is the name and raw[val0:val1] the value between its quotes, escapes
 // as written.
 type macro struct{ name0, name1, val0, val1 int }
-
-// firstMacro returns the offset where a VARS line's pairs begin: after
-// the keyword, the job and an optional PREPEND or APPEND.
-func firstMacro(raw string) int {
-	_, end := nextField(raw, 0)
-	_, end = nextField(raw, end)
-	if start, word := nextField(raw, end); isPlacement(raw[start:word]) {
-		return word
-	}
-	return end
-}
 
 // isPlacement reports whether a VARS line's third field is the
 // optional PREPEND or APPEND.
@@ -454,25 +591,13 @@ func (m macro) isPriority(raw string) bool {
 	return strings.EqualFold(raw[m.name0:m.name1], "jobpriority")
 }
 
-// hasPriorityMacro reports whether a VARS line defines jobpriority: a
-// pair named so, not merely the word somewhere in the line, scanning
-// the pairs from offset from.
-func hasPriorityMacro(raw string, from int) bool {
-	for m, i, ok := nextMacro(raw, from); ok; m, i, ok = nextMacro(raw, i) {
-		if m.isPriority(raw) {
-			return true
-		}
-	}
-	return false
-}
-
 // Job returns the named job, if declared.
 func (f *File) Job(name string) (Job, bool) {
-	i, ok := f.index[name]
+	v, ok := f.lookup(name)
 	if !ok {
 		return Job{}, false
 	}
-	return f.Jobs[i], true
+	return f.Jobs[v], true
 }
 
 // name returns the name behind a dependency endpoint id.
@@ -500,7 +625,7 @@ func (f *File) Deps() []Dep {
 // order, one arc per PARENT/CHILD pair. Dependencies naming undeclared
 // jobs are errors; duplicate dependencies are tolerated (DAGMan accepts
 // them) and collapsed. The dag is frozen straight from the parsed arc
-// list and shares the parser's name index.
+// list. It carries no name index: its IndexOf scans the names.
 func (f *File) Graph() (*dag.Frozen, error) {
 	if len(f.Splices) > 0 {
 		return nil, fmt.Errorf("dagman: file contains %d unresolved SPLICE statements; call Flatten first", len(f.Splices))
@@ -525,7 +650,7 @@ func (f *File) Graph() (*dag.Frozen, error) {
 	for i := range f.Jobs {
 		names[i] = f.Jobs[i].Name
 	}
-	g, err := dag.FromArcs(names, f.index, f.from, f.to)
+	g, err := dag.FromArcs(names, nil, f.from, f.to)
 	switch {
 	case err == nil:
 		return g, nil
@@ -556,12 +681,12 @@ func (f *File) InstrumentIDs(prio []int) []byte {
 // before it writes.
 const flushAt = 64 << 10
 
-// WriteInstrumented writes InstrumentIDs's text to w, about 64 KB per
-// Write, so the instrumented copy of a large file is never held in
-// memory whole. It returns the first error w reports.
+// WriteInstrumented writes InstrumentIDs's text to w in writes of at
+// least 64 KB (but the last), so the instrumented copy of a large file
+// is never held in memory whole. It returns the first error w reports.
 func (f *File) WriteInstrumented(w io.Writer, prio []int) error {
 	f.checkPriorities(prio)
-	buf, err := f.instrument(make([]byte, 0, flushAt+flushAt/8), w, prio, f.prioritized())
+	buf, err := f.instrument(make([]byte, 0, flushAt+flushAt/8), w, prio)
 	if err == nil && len(buf) > 0 {
 		_, err = w.Write(buf)
 	}
@@ -579,7 +704,7 @@ func (f *File) Instrument(priorities map[string]int) string {
 	}
 	var missing []string
 	for name, p := range priorities {
-		if v, ok := f.index[name]; ok {
+		if v, ok := f.lookup(name); ok {
 			prio[v] = p
 		} else {
 			missing = append(missing, name)
@@ -599,73 +724,70 @@ func (f *File) checkPriorities(prio []int) {
 	}
 }
 
-// prioritized reports, per job, whether a jobpriority macro for it
-// appears somewhere in the file.
-func (f *File) prioritized() []bool {
-	has := make([]bool, len(f.Jobs))
-	for _, ln := range f.lines {
-		if ln.kind == linePrio && ln.id >= 0 {
-			has[ln.id] = true
-		}
-	}
-	return has
-}
-
 // instrumented returns the whole instrumented text, in a buffer sized
 // to it up front.
 func (f *File) instrumented(prio []int) []byte {
-	has := f.prioritized()
 	var digits [20]byte
-	size := f.size
-	for v, p := range prio {
-		if p != noPriority {
+	size := len(f.text)
+	for _, e := range f.edits {
+		if p := prio[e.job]; p != noPriority {
 			size += len(strconv.AppendInt(digits[:0], int64(p), 10))
-			if !has[v] {
-				size += len(`Vars  jobpriority=""`) + len(f.Jobs[v].Name) + 1
+			if e.end == insertLine {
+				size += len(`Vars  jobpriority=""`) + len(f.Jobs[e.job].Name) + 1
+			} else {
+				size -= int(e.end - e.at)
 			}
 		}
 	}
-	buf, _ := f.instrument(make([]byte, 0, size), nil, prio, has)
+	buf, _ := f.instrument(make([]byte, 0, size), nil, prio)
 	return buf
 }
 
-// instrument is the one instrumentation loop: it appends the
-// instrumented text to buf line by line. With a nil w it returns the
-// whole text; otherwise, whenever buf reaches flushAt bytes, it writes
-// buf to w and goes on from buf[:0], and returns what is left to write.
-func (f *File) instrument(buf []byte, w io.Writer, prio []int, has []bool) ([]byte, error) {
-	for _, ln := range f.lines {
-		if ln.kind == linePrio && ln.id >= 0 && prio[ln.id] != noPriority {
-			buf = appendRewritten(buf, ln.raw, prio[ln.id])
+// instrument is the one instrumentation loop: it copies the text
+// between edits in bulk (see copySpan) and writes each edit's priority
+// in between. With a nil w it returns the whole text appended to buf;
+// otherwise it returns what is left to write.
+func (f *File) instrument(buf []byte, w io.Writer, prio []int) ([]byte, error) {
+	var err error
+	last := 0
+	for _, e := range f.edits {
+		p := prio[e.job]
+		if p == noPriority {
+			continue
+		}
+		if buf, err = copySpan(buf, w, f.text[last:e.at]); err != nil {
+			return nil, err
+		}
+		if e.end == insertLine {
+			buf = appendPriorityLine(buf, f.Jobs[e.job].Name, p)
+			last = int(e.at)
 		} else {
-			buf = append(buf, ln.raw...)
-		}
-		buf = append(buf, eol(ln.raw)...)
-		if ln.kind == lineJob && !has[ln.id] && prio[ln.id] != noPriority {
-			buf = appendPriorityLine(buf, f.Jobs[ln.id].Name, prio[ln.id])
-		}
-		if w != nil && len(buf) >= flushAt {
-			if _, err := w.Write(buf); err != nil {
-				return nil, err
-			}
-			buf = buf[:0]
+			buf = strconv.AppendInt(buf, int64(p), 10)
+			last = int(e.end)
 		}
 	}
-	return buf, nil
+	return copySpan(buf, w, f.text[last:])
 }
 
-// appendRewritten appends a VARS line with the value of each of its
-// jobpriority macros replaced by p and every other byte as it was.
-func appendRewritten(buf []byte, raw string, p int) []byte {
-	last := 0
-	for m, i, ok := nextMacro(raw, firstMacro(raw)); ok; m, i, ok = nextMacro(raw, i) {
-		if m.isPriority(raw) {
-			buf = append(buf, raw[last:m.val0]...)
-			buf = strconv.AppendInt(buf, int64(p), 10)
-			last = m.val1
-		}
+// copySpan appends span to buf. Streaming to a non-nil w, it writes buf
+// once it would reach flushAt bytes, first topped up from span to
+// exactly flushAt, and hands what is left of span straight to w when
+// that is flushAt bytes or more; so buf never holds much more than
+// flushAt bytes, and every write is at least that long.
+func copySpan(buf []byte, w io.Writer, span string) ([]byte, error) {
+	if w == nil || len(buf)+len(span) < flushAt {
+		return append(buf, span...), nil
 	}
-	return append(buf, raw[last:]...)
+	n := max(0, flushAt-len(buf))
+	if _, err := w.Write(append(buf, span[:n]...)); err != nil {
+		return nil, err
+	}
+	buf, span = buf[:0], span[n:]
+	if len(span) < flushAt {
+		return append(buf, span...), nil
+	}
+	_, err := io.WriteString(w, span)
+	return buf, err
 }
 
 func appendPriorityLine(buf []byte, job string, p int) []byte {
@@ -676,25 +798,10 @@ func appendPriorityLine(buf []byte, job string, p int) []byte {
 	return append(buf, "\"\n"...)
 }
 
-// String reproduces the file text as parsed.
+// String reproduces the file text as parsed, every line ending in \n
+// (see normalize).
 func (f *File) String() string {
-	var b strings.Builder
-	b.Grow(f.size)
-	for _, ln := range f.lines {
-		b.WriteString(ln.raw)
-		b.WriteString(eol(ln.raw))
-	}
-	return b.String()
-}
-
-// eol is the terminator a preserved line is written with: \n, or \r\n
-// when the line itself ends in \r, since Parse reads a \r\n terminator
-// as a plain \n and would otherwise drop that \r on the next read.
-func eol(raw string) string {
-	if strings.HasSuffix(raw, "\r") {
-		return "\r\n"
-	}
-	return "\n"
+	return f.text
 }
 
 // FromGraph renders a dag as a DAGMan input file, one JOB per node (in

@@ -76,7 +76,11 @@ func FuzzParseDAGMan(f *testing.F) {
 	f.Add("\tJob  q\t q.sub  \n\nPriority q 7\n")
 	f.Add("\r\r")                                   // a line that still ends in \r once its \r\n is read
 	f.Add("NODE a a.sub\r\r\nVARS a x=\"1\"\r\r\n") // ... on statements too
+	for _, s := range instrumentSeeds {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, input string) {
+		checkInstrumentOracle(t, input, -7)
 		file, err := Parse(strings.NewReader(input))
 		if err != nil {
 			return

@@ -99,10 +99,10 @@ func (w *chunkWriter) Write(p []byte) (int, error) {
 
 // TestWriteInstrumentedMatchesInstrumentIDs streams the SDSS file, fresh
 // and reinstrumented, and checks that the writes add up to
-// InstrumentIDs's text, that each but the last ends with the first
-// input line (and the priority line it may gain) to reach flushAt
-// bytes, and that a
-// failing writer's error comes back.
+// InstrumentIDs's text, that each but the last is at least flushAt
+// bytes, that one longer than flushAt plus a priority line is a span
+// of the input handed straight through, and that a failing writer's
+// error comes back.
 func TestWriteInstrumentedMatchesInstrumentIDs(t *testing.T) {
 	g := workloads.PaperSDSS()
 	prio := make([]int, g.NumNodes())
@@ -123,16 +123,12 @@ func TestWriteInstrumentedMatchesInstrumentIDs(t *testing.T) {
 		if got := bytes.Join(w.chunks, nil); !bytes.Equal(got, want) {
 			t.Fatalf("%s: streamed %d bytes that differ from InstrumentIDs's %d", name, len(got), len(want))
 		}
-		if len(w.chunks) < 2 {
+		if len(w.chunks) < 2 || len(w.chunks) > len(want)/flushAt+1 {
 			t.Fatalf("%s: %d bytes in %d writes", name, len(want), len(w.chunks))
 		}
 		for i, c := range w.chunks[:len(w.chunks)-1] {
-			before := bytes.LastIndexByte(c[:len(c)-1], '\n')
-			if bytes.HasPrefix(c[before+1:], []byte("Vars ")) {
-				before = bytes.LastIndexByte(c[:before], '\n')
-			}
-			if before+1 >= flushAt || len(c) < flushAt || c[len(c)-1] != '\n' {
-				t.Fatalf("%s: write %d has %d bytes, %d before its last line; want lines up to the first to reach %d", name, i, len(c), before+1, flushAt)
+			if len(c) < flushAt || len(c) > flushAt+64 && !strings.Contains(f.String(), string(c)) {
+				t.Fatalf("%s: write %d has %d bytes; want at least %d, and no more than a priority line over unless it is a span of the input", name, i, len(c), flushAt)
 			}
 		}
 		for _, failAt := range []int{1, 2, len(w.chunks)} {
@@ -210,6 +206,23 @@ func refVarsMacros(raw string) (job string, macros []refMacro, ok bool) {
 	}
 }
 
+// instrumentSeeds are the inputs FuzzInstrument and FuzzParseDAGMan
+// share, each of them a case where the text an instrumented copy is cut
+// from is not simply the input's lines.
+var instrumentSeeds = []string{
+	"Job a a.sub\r\nVARS a jobpriority=\"1\"\r\nJob b b.sub\r\nParent a Child b\r\n", // CRLF
+	"\r\r",
+	"Job a a.sub\nJob b b.sub\r", // a lone trailing \r
+	"Job a a.sub\nJob b b.sub",   // no final newline
+	"",
+	"Job a a.sub\nVARS a jobpriority=\"1\" x=\"y\" JOBPRIORITY=\"2\"\n", // two macros on one line
+	"VARS a jobpriority=\"1\"\nJob a a.sub\nJob b b.sub\n",              // VARS before its JOB
+	"Job a a.sub\nVARS ghost jobpriority=\"1\"\nParent a Child ghost\n", // an undeclared job
+	"VARS ALL_NODES jobpriority=\"9\"\nJob a a.sub\nVARS all_nodes x=\"1\"\n",
+	"Job a a.sub\nVARS a PREPEND jobpriority=\"1\"\nJob b b.sub\nvars b append x=\"\\\"\" jobpriority=\"2\"\n",
+	"Splice s s.dag\nJob a a.sub\nVARS s jobpriority=\"1\"\nParent s Child a\n",
+}
+
 // FuzzInstrument checks rewrite safety on arbitrary files: InstrumentIDs
 // changes nothing but jobpriority values. Every input line comes out
 // byte for byte, except that a VARS line of a declared job has each
@@ -221,10 +234,18 @@ func FuzzInstrument(f *testing.F) {
 	f.Add("VARS ALL_NODES jobpriority=\"9\"\nJob A x\nvars A APPEND  jobPriority = \"1\" a=\"\\\"q\\\\\"\n", 0)
 	f.Add("Job a a.sub\nVars a x=\"1\" jobpriority=\"2\nVARS ghost jobpriority=\"3\"\n", 1<<40)
 	f.Add("NODE A A.sub\nNODE B B.sub\nVARS B jobpriority=\"1\"\nnode C C.sub\nPARENT A CHILD B C\n", 2)
+	for _, s := range instrumentSeeds {
+		f.Add(s, 9)
+	}
 	f.Fuzz(func(t *testing.T, input string, base int) {
+		checkInstrumentOracle(t, input, base)
 		file, err := Parse(strings.NewReader(input))
 		if err != nil {
 			return
+		}
+		index := make(map[string]int, len(file.Jobs))
+		for v, j := range file.Jobs {
+			index[j.Name] = v
 		}
 		prio := make([]int, len(file.Jobs))
 		for v := range prio {
@@ -240,7 +261,7 @@ func FuzzInstrument(f *testing.F) {
 		covered := make([]bool, len(file.Jobs))
 		for _, raw := range in {
 			if job, macros, ok := refVarsMacros(raw); ok {
-				v, declared := file.index[job]
+				v, declared := index[job]
 				for _, m := range macros {
 					if declared && !strings.EqualFold(job, "ALL_NODES") && strings.EqualFold(m.name, "jobpriority") {
 						covered[v] = true
@@ -259,7 +280,7 @@ func FuzzInstrument(f *testing.F) {
 		for _, raw := range in {
 			want := raw
 			if job, macros, ok := refVarsMacros(raw); ok && !strings.EqualFold(job, "ALL_NODES") {
-				if v, declared := file.index[job]; declared {
+				if v, declared := index[job]; declared {
 					var b strings.Builder
 					last := 0
 					for _, m := range macros {
@@ -278,7 +299,7 @@ func FuzzInstrument(f *testing.F) {
 			}
 			fields := strings.Fields(raw)
 			if len(fields) >= 3 && (strings.ToUpper(fields[0]) == "JOB" || strings.ToUpper(fields[0]) == "NODE") {
-				v := file.index[fields[1]]
+				v := index[fields[1]]
 				if !covered[v] {
 					want := "Vars " + fields[1] + ` jobpriority="` + strconv.Itoa(prio[v]) + `"`
 					if got := next(); got != want {

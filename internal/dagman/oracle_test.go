@@ -1,9 +1,11 @@
 package dagman
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -296,4 +298,244 @@ func FuzzParseOracle(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(checkOracle)
+}
+
+// The reference instrumenter: the per-line loop that the edit list
+// replaced. It splits the text into lines (a \r\n terminator read as
+// \n), tags each JOB or NODE line with its job and each VARS line that
+// sets a declared job's jobpriority with that job, and writes every
+// line back followed by \n — or \r\n when the line still ends in \r,
+// so that the next read keeps that \r — rewriting the jobpriority
+// values of tagged VARS lines and adding a VARS line after the JOB
+// line of a job with no jobpriority anywhere. Jobs whose priority is
+// noPriority are left alone, so with no priorities at all refInstrument
+// returns what String should.
+
+type refLine struct {
+	raw          string
+	job, prioJob int // the job a JOB line declares, or a VARS line prioritizes; -1 if none
+}
+
+func refInstrument(text string, jobs []Job, prio []int) string {
+	id := make(map[string]int, len(jobs))
+	for v, j := range jobs {
+		id[j.Name] = v
+	}
+	var lines []refLine
+	has := make([]bool, len(jobs))
+	for start := 0; start < len(text); {
+		var raw string
+		if end := strings.IndexByte(text[start:], '\n'); end < 0 {
+			raw = text[start:]
+			start = len(text)
+		} else {
+			raw = text[start : start+end]
+			start += end + 1
+		}
+		raw = strings.TrimSuffix(raw, "\r")
+		ln := refLine{raw: raw, job: -1, prioJob: -1}
+		k0, k1 := nextField(raw, 0)
+		j0, j1 := nextField(raw, k1)
+		switch kw, job := raw[k0:k1], raw[j0:j1]; {
+		case isKeyword(kw, "JOB") || isKeyword(kw, "NODE"):
+			ln.job = id[job]
+		case isKeyword(kw, "VARS"):
+			if v, ok := id[job]; ok && !strings.EqualFold(job, "ALL_NODES") && refHasPriority(raw) {
+				ln.prioJob, has[v] = v, true
+			}
+		}
+		lines = append(lines, ln)
+	}
+	var b strings.Builder
+	for _, ln := range lines {
+		if ln.prioJob >= 0 && prio[ln.prioJob] != noPriority {
+			b.WriteString(refRewrite(ln.raw, prio[ln.prioJob]))
+		} else {
+			b.WriteString(ln.raw)
+		}
+		if strings.HasSuffix(ln.raw, "\r") {
+			b.WriteByte('\r')
+		}
+		b.WriteByte('\n')
+		if v := ln.job; v >= 0 && !has[v] && prio[v] != noPriority {
+			fmt.Fprintf(&b, "Vars %s jobpriority=\"%d\"\n", jobs[v].Name, prio[v])
+		}
+	}
+	return b.String()
+}
+
+// refFirstMacro returns the offset where a VARS line's pairs begin:
+// after the keyword, the job and an optional PREPEND or APPEND.
+func refFirstMacro(raw string) int {
+	_, end := nextField(raw, 0)
+	_, end = nextField(raw, end)
+	if start, word := nextField(raw, end); isPlacement(raw[start:word]) {
+		return word
+	}
+	return end
+}
+
+// refHasPriority reports whether a VARS line defines jobpriority: a
+// pair named so, not merely the word somewhere in the line.
+func refHasPriority(raw string) bool {
+	for m, i, ok := nextMacro(raw, refFirstMacro(raw)); ok; m, i, ok = nextMacro(raw, i) {
+		if m.isPriority(raw) {
+			return true
+		}
+	}
+	return false
+}
+
+// refRewrite returns a VARS line with the value of each of its
+// jobpriority macros replaced by p and every other byte as it was.
+func refRewrite(raw string, p int) string {
+	var b strings.Builder
+	last := 0
+	for m, i, ok := nextMacro(raw, refFirstMacro(raw)); ok; m, i, ok = nextMacro(raw, i) {
+		if m.isPriority(raw) {
+			b.WriteString(raw[last:m.val0])
+			b.WriteString(strconv.Itoa(p))
+			last = m.val1
+		}
+	}
+	b.WriteString(raw[last:])
+	return b.String()
+}
+
+// checkInstrumentOracle holds String, InstrumentIDs, WriteInstrumented
+// and Instrument on one input to the reference instrumenter, byte for
+// byte, with job v's priority base-3v; Instrument gets every other
+// job's priority only, so the jobs it leaves alone are covered too.
+func checkInstrumentOracle(t *testing.T, input string, base int) {
+	t.Helper()
+	f, err := Parse(strings.NewReader(input))
+	if err != nil {
+		return
+	}
+	none := make([]int, len(f.Jobs))
+	prio := make([]int, len(f.Jobs))
+	half := make([]int, len(f.Jobs))
+	byName := make(map[string]int, len(f.Jobs))
+	for v, j := range f.Jobs {
+		none[v], prio[v], half[v] = noPriority, base-3*v, noPriority
+		if v%2 == 0 {
+			half[v] = prio[v]
+			byName[j.Name] = prio[v]
+		}
+	}
+	if got, want := f.String(), refInstrument(input, f.Jobs, none); got != want {
+		t.Fatalf("String:\n%q\nreference:\n%q\ninput: %q", got, want, input)
+	}
+	want := refInstrument(input, f.Jobs, prio)
+	if got := string(f.InstrumentIDs(prio)); got != want {
+		t.Fatalf("InstrumentIDs:\n%q\nreference:\n%q\ninput: %q", got, want, input)
+	}
+	var w chunkWriter
+	if err := f.WriteInstrumented(&w, prio); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(bytes.Join(w.chunks, nil)); got != want {
+		t.Fatalf("WriteInstrumented:\n%q\nreference:\n%q\ninput: %q", got, want, input)
+	}
+	if got, want := f.Instrument(byName), refInstrument(input, f.Jobs, half); got != want {
+		t.Fatalf("Instrument:\n%q\nreference:\n%q\ninput: %q", got, want, input)
+	}
+}
+
+// decorate turns fresh DAGMan text, as FromGraph writes it, into what a
+// workflow looks like after an earlier prio pass and some hand
+// editing: every job has a stale jobpriority, a seeded third of them
+// on a VARS line shared with other macros (\" and \\ escapes in their
+// values), a seeded third with the priority on its own line followed
+// by another VARS line, and those two thirds also carry PRIORITY,
+// RETRY, CATEGORY and SCRIPT lines; there are comments, CONFIG and
+// MAXJOBS lines, and every tenth VARS line comes ahead of its JOB line.
+func decorate(fresh string, seed uint64) string {
+	r := rng.New(seed)
+	var b strings.Builder
+	b.WriteString("# decorated by hand after an earlier prio pass\nCONFIG workflow.config\nMAXJOBS cat0 50\n\n")
+	job := 0
+	for text := fresh; text != ""; {
+		var ln string
+		ln, text = nextLine(text)
+		if !strings.HasPrefix(ln, "Job ") {
+			b.WriteString(ln)
+			continue
+		}
+		j := strings.Fields(ln)[1]
+		var vars string
+		k := r.Intn(3)
+		switch k {
+		case 0:
+			vars = fmt.Sprintf("VARS %s site=\"osg-%d\" jobpriority=\"%d\" args=\"-i \\\"%s.in\\\" -v\" tag=\"a\\\\b\"\n", j, k, job, j)
+		case 1:
+			vars = fmt.Sprintf("Vars %s jobpriority=\"%d\"\nVARS %s site=\"osg-%d\" args=\"-o \\\"%s.out\\\"\"\n", j, job, j, k, j)
+		default:
+			vars = fmt.Sprintf("Vars %s jobpriority=\"%d\"\n", j, job)
+		}
+		if job%10 == 9 {
+			b.WriteString(vars)
+			b.WriteString(ln)
+		} else {
+			b.WriteString(ln)
+			b.WriteString(vars)
+		}
+		if k < 2 {
+			fmt.Fprintf(&b, "PRIORITY %s %d\nRETRY %s 3\nCATEGORY %s cat%d\nSCRIPT PRE %s pre.sh %s\n", j, job%7, j, j, job%7, j, j)
+		}
+		if job%500 == 499 {
+			fmt.Fprintf(&b, "# ---- stage boundary after %d jobs\n", job+1)
+		}
+		job++
+	}
+	return b.String()
+}
+
+// paperTexts returns the four paper dags as FromGraph writes them, in
+// generator order and with the jobs declared in a seeded permutation,
+// each fresh and decorated.
+func paperTexts() map[string]string {
+	texts := map[string]string{}
+	for _, d := range []struct {
+		name string
+		g    *dag.Frozen
+	}{
+		{"airsn", workloads.PaperAIRSN()}, {"inspiral", workloads.PaperInspiral()},
+		{"montage", workloads.PaperMontage()}, {"sdss", workloads.PaperSDSS()},
+	} {
+		for order, g := range map[string]*dag.Frozen{"generator": d.g, "permuted": permutedDag(d.g, 7)} {
+			fresh := FromGraph(g, nil).String()
+			texts[d.name+"/"+order+"/fresh"] = fresh
+			texts[d.name+"/"+order+"/decorated"] = decorate(fresh, 7)
+		}
+	}
+	return texts
+}
+
+// permutedDag returns g with its nodes declared in a seeded random
+// order.
+func permutedDag(g *dag.Frozen, seed uint64) *dag.Frozen {
+	n := g.NumNodes()
+	perm := rng.New(seed).Perm(n)
+	pos := make([]int, n)
+	b := dag.NewWithCapacity(n)
+	for i, old := range perm {
+		pos[old] = i
+		b.AddNode(g.Name(old))
+	}
+	for _, old := range perm {
+		for _, c := range g.Children(old) {
+			b.MustAddArc(pos[old], pos[c])
+		}
+	}
+	return b.MustFreeze()
+}
+
+func TestInstrumentMatchesOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("instruments the paper dags, SDSS among them")
+	}
+	for name, text := range paperTexts() {
+		t.Run(name, func(t *testing.T) { checkInstrumentOracle(t, text, 1<<20) })
+	}
 }
