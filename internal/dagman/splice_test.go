@@ -246,3 +246,20 @@ func TestFlattenSpliceToSpliceDependency(t *testing.T) {
 		t.Fatalf("splice-to-splice dependency missing; arcs: %v", g.Arcs())
 	}
 }
+
+// TestFlattenDrops checks that FlattenDrops names exactly the lines
+// Flatten leaves out: comments, statements other than JOB, NODE, VARS,
+// PARENT and SPLICE, and a SPLICE's DIR.
+func TestFlattenDrops(t *testing.T) {
+	f, err := Parse(strings.NewReader("# c\nJOB A a.sub\nRETRY A 3\nNode B b.sub\nVARS A x=\"1\"\n\nSPLICE S s.dag\nSPLICE T t.dag DIR sub\nPARENT A CHILD S T\ncategory A cat\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "line 1 comment, line 3 RETRY, line 8 SPLICE DIR, line 10 category"
+	if got := strings.Join(f.FlattenDrops(), ", "); got != want {
+		t.Fatalf("FlattenDrops = %s, want %s", got, want)
+	}
+	if f, _ = Parse(strings.NewReader(innerDiamond)); f.FlattenDrops() != nil {
+		t.Fatalf("FlattenDrops on a file of JOB and PARENT lines = %v", f.FlattenDrops())
+	}
+}
