@@ -128,7 +128,7 @@ func BenchmarkFig8SDSS(b *testing.B)     { benchSimPoint(b, "sdss", 40, 8192) } 
 func BenchmarkFig9Montage(b *testing.B)  { benchSimPoint(b, "montage", 9, 128) }  // 2^7
 
 // Extension: per-policy simulation cost at the headline point — PRIO's
-// B-tree dispatch versus FIFO's queue versus the randomized and
+// bitmap dispatch versus FIFO's queue versus the randomized and
 // critical-path baselines and the throttled two-level queue.
 func BenchmarkPolicies(b *testing.B) {
 	g, err := workloads.ByName("airsn", 1)
@@ -154,7 +154,7 @@ func BenchmarkPolicies(b *testing.B) {
 // The memo cache on a repeated-shape field: every tile is the same
 // shape, the situation of SDSS's thousands of identical chains. The
 // warm case additionally reuses the cache (and its embedded transitive
-// reduction) across calls, the cmd/prio -cache multi-stage scenario.
+// reduction) across calls, as a priod tenant's cache does.
 func BenchmarkScheduleCache(b *testing.B) {
 	g := workloads.TileField(rng.New(13), 96, 120, 180, 12, true)
 	b.Run("off", func(b *testing.B) {

@@ -8,11 +8,7 @@
 // Usage:
 //
 //	dagsim -dag workflow.dag [-policy prio] [-bit 1] [-bs 16]
-//	       [-seed 1] [-trace] [-maxevents 200] [-cache]
-//
-// -cache memoizes component schedules and the transitive reduction in
-// the PRIO scheduling pipeline that backs the prio policies. It leaves
-// the schedule — and therefore the simulation — bit-identical.
+//	       [-seed 1] [-trace] [-maxevents 200]
 package main
 
 import (
@@ -22,7 +18,6 @@ import (
 	"os"
 
 	"repro/internal/cli"
-	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -46,7 +41,6 @@ func run(args []string, w io.Writer) error {
 	fail := fs.Float64("fail", 0, "per-assignment worker failure probability")
 	trace := fs.Bool("trace", false, "print the event trace")
 	maxEvents := fs.Int("maxevents", 200, "truncate the trace after this many events (0 = unlimited)")
-	useCache := fs.Bool("cache", false, "memoize component schedules and the transitive reduction in the prio pipeline")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -55,11 +49,7 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var copts core.Options
-	if *useCache {
-		copts.Cache = core.NewCache()
-	}
-	factory, err := sim.PolicyFactoryOpts(*policy, g, copts)
+	factory, err := sim.PolicyFactory(*policy, g)
 	if err != nil {
 		return err
 	}

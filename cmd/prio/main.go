@@ -12,7 +12,6 @@
 //	-submit      also instrument the referenced JSDFs in place
 //	-dot file    write the prioritized dag in Graphviz format
 //	-stats       print scheduling statistics to stderr
-//	-cache       memoize component schedules and the transitive reduction
 //	-theoretical report whether the idealized Section 2.2 algorithm handles the dag
 //	-explain j   explain the priority of job j (comma list) on stderr
 //
@@ -27,7 +26,9 @@
 // spliced jobs inlined, and only JOB, NODE, VARS and PARENT lines
 // kept. prio therefore refuses to overwrite (with -inplace, or -o
 // naming the input) a spliced file that has comments or other
-// statements, and names them in its error.
+// statements, and names them in its error; written to stdout or
+// another file, the flattened text comes with a warning on stderr
+// naming them.
 package main
 
 import (
@@ -45,7 +46,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dagman"
-	"repro/internal/decompose"
 )
 
 func main() {
@@ -62,7 +62,6 @@ func run(args []string, w io.Writer) error {
 	submit := fs.Bool("submit", false, "also instrument referenced submit description files in place")
 	dotOut := fs.String("dot", "", "write the prioritized dag in Graphviz dot format")
 	showStats := fs.Bool("stats", false, "print scheduling statistics to stderr")
-	useCache := fs.Bool("cache", false, "memoize component schedules and the transitive reduction")
 	theoretical := fs.Bool("theoretical", false, "also report whether the idealized Section 2.2 algorithm handles this dag")
 	explain := fs.String("explain", "", "explain the priority assigned to this job (comma list of job names)")
 	if err := fs.Parse(args); err != nil {
@@ -90,9 +89,6 @@ func run(args []string, w io.Writer) error {
 	}
 
 	c := &config{out: *out, inplace: *inplace, submit: *submit}
-	if *useCache {
-		c.opts.Cache = core.NewCache()
-	}
 	if len(inputs) > 1 {
 		return runParallel(inputs, c, *showStats)
 	}
@@ -116,7 +112,6 @@ func run(args []string, w io.Writer) error {
 	}
 	if *showStats {
 		printStats(sched, elapsed)
-		printCacheStats(c.opts.Cache)
 	}
 	if *explain != "" {
 		for _, name := range strings.Split(*explain, ",") {
@@ -129,8 +124,7 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 	if *theoretical {
-		// With -cache, share the Step 1 reduction already computed by the heuristic.
-		if _, err := core.TheoreticalScheduleOpts(g, decompose.Options{ReduceCache: c.opts.Cache.ReduceCache()}); err != nil {
+		if _, err := core.TheoreticalSchedule(g); err != nil {
 			fmt.Fprintf(os.Stderr, "theoretical algorithm: FAILS (%v); the heuristic schedule above is the graceful fallback\n", err)
 		} else {
 			fmt.Fprintln(os.Stderr, "theoretical algorithm: succeeds; the schedule is IC-optimal")
@@ -143,7 +137,6 @@ func run(args []string, w io.Writer) error {
 type config struct {
 	out             string
 	inplace, submit bool
-	opts            core.Options
 }
 
 // prioritizeFile runs the pipeline on one DAGMan file — parse, flatten
@@ -164,28 +157,28 @@ func (c *config) prioritizeFile(input string, w io.Writer) (*core.Schedule, []su
 		// is the flattened file, which is what DAGMan executes anyway.
 		// It keeps no comment and no statement but JOB, NODE, VARS and
 		// PARENT, of the input or of any file it splices, so it may not
-		// replace an input when one of those files has others.
-		load := dagman.LoadSplice(filepath.Dir(input))
-		var drops []string
-		if overwrite {
-			drops = f.FlattenDrops()
-			fromDisk := load
-			load = func(file string) (*dagman.File, error) {
-				inner, err := fromDisk(file)
-				if err == nil {
-					for _, d := range inner.FlattenDrops() {
-						drops = append(drops, file+" "+d)
-					}
+		// replace an input when one of those files has others; written
+		// anywhere else, prio warns on stderr of what it dropped.
+		drops := f.FlattenDrops()
+		fromDisk := dagman.LoadSplice(filepath.Dir(input))
+		load := func(file string) (*dagman.File, error) {
+			inner, err := fromDisk(file)
+			if err == nil {
+				for _, d := range inner.FlattenDrops() {
+					drops = append(drops, file+" "+d)
 				}
-				return inner, err
 			}
+			return inner, err
 		}
 		f, err = f.Flatten(load)
 		if err != nil {
 			return nil, nil, 0, err
 		}
 		if len(drops) > 0 {
-			return nil, nil, 0, fmt.Errorf("%s: not overwritten: its flattened SPLICEs would drop %s; write the output to stdout or another file", input, listDrops(drops))
+			if overwrite {
+				return nil, nil, 0, fmt.Errorf("%s: not overwritten: its flattened SPLICEs would drop %s; write the output to stdout or another file", input, listDrops(drops))
+			}
+			fmt.Fprintf(os.Stderr, "prio: warning: %s: its flattened SPLICEs drop %s\n", input, listDrops(drops))
 		}
 	}
 	g, err := f.Graph()
@@ -193,7 +186,7 @@ func (c *config) prioritizeFile(input string, w io.Writer) (*core.Schedule, []su
 		return nil, nil, 0, err
 	}
 	start := time.Now()
-	sched := core.PrioritizeOpts(g, c.opts)
+	sched := core.Prioritize(g)
 	elapsed := time.Since(start)
 
 	write := func(w io.Writer) error { return f.WriteInstrumented(w, sched.Priority) }
@@ -228,12 +221,10 @@ func listDrops(drops []string) string {
 }
 
 // runParallel prioritizes several DAGMan files concurrently, rewriting
-// each in place. With -cache one schedule cache (and its embedded
-// reduction cache) is shared by every file, so repeated component
-// shapes across a batch of workflows are scheduled once. With -submit
-// the JSDFs of the whole batch are instrumented afterwards, each
-// distinct one once: two goroutines rewriting a shared JSDF could
-// otherwise interleave their reads and writes and lose its contents.
+// each in place. With -submit the JSDFs of the whole batch are
+// instrumented afterwards, each distinct one once: two goroutines
+// rewriting a shared JSDF could otherwise interleave their reads and
+// writes and lose its contents.
 func runParallel(inputs []string, c *config, showStats bool) error {
 	var wg sync.WaitGroup
 	errs := make([]error, len(inputs))
@@ -262,7 +253,6 @@ func runParallel(inputs []string, c *config, showStats bool) error {
 	}
 	if showStats {
 		fmt.Fprintf(os.Stderr, "prioritized %d files in %v\n", len(inputs), time.Since(start).Round(time.Microsecond))
-		printCacheStats(c.opts.Cache)
 	}
 	return nil
 }
@@ -382,17 +372,6 @@ func replaceFile(path string, write func(io.Writer) error) error {
 		return errors.Join(err, os.Remove(tmp.Name()))
 	}
 	return nil
-}
-
-// printCacheStats reports the -cache counters; without -cache it prints
-// nothing.
-func printCacheStats(cache *core.Cache) {
-	if cache == nil {
-		return
-	}
-	cs := cache.Stats()
-	fmt.Fprintf(os.Stderr, "schedule cache: %d hits, %d misses (%.1f%% hit rate), %d distinct shapes\n",
-		cs.Hits, cs.Misses, 100*cs.HitRate(), cs.Entries)
 }
 
 func printStats(s *core.Schedule, elapsed time.Duration) {

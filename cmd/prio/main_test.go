@@ -218,9 +218,12 @@ func TestRunSplicedInputNotOverwritten(t *testing.T) {
 			t.Fatalf("prio %v changed the input:\n%s", args, got)
 		}
 	}
+	// Written anywhere else, the flattened text comes out as before,
+	// with a warning on stderr naming what it dropped.
+	warning := "prio: warning: " + outer + ": its flattened SPLICEs drop line 1 comment, line 2 CONFIG, line 4 RETRY, line 5 SCRIPT, line 8 MAXJOBS\n"
 	var stdout strings.Builder
-	if err := run([]string{outer}, &stdout); err != nil {
-		t.Fatal(err)
+	if stderr := stderrOf(t, func() error { return run([]string{outer}, &stdout) }); stderr != warning {
+		t.Fatalf("stdout: stderr %q, want %q", stderr, warning)
 	}
 	want := "JOB A a.sub\nVars A jobpriority=\"3\"\nJob S+X x.sub\nVars S+X jobpriority=\"2\"\nJob S+Y y.sub\nVars S+Y jobpriority=\"1\"\n" +
 		"Parent A Child S+X\nParent A Child S+Y\n"
@@ -228,8 +231,8 @@ func TestRunSplicedInputNotOverwritten(t *testing.T) {
 		t.Fatalf("flattened output:\n%s\nwant:\n%s", stdout.String(), want)
 	}
 	other := filepath.Join(dir, "flat.dag")
-	if err := run([]string{"-o", other, outer}, io.Discard); err != nil {
-		t.Fatal(err)
+	if stderr := stderrOf(t, func() error { return run([]string{"-o", other, outer}, io.Discard) }); stderr != warning {
+		t.Fatalf("-o another file: stderr %q, want %q", stderr, warning)
 	}
 	if got, _ := os.ReadFile(other); string(got) != want {
 		t.Fatalf("-o another file:\n%s\nwant:\n%s", got, want)
@@ -249,13 +252,43 @@ func TestRunSplicedInputNotOverwritten(t *testing.T) {
 			t.Fatalf("prio %v changed the input:\n%s", args, got)
 		}
 	}
+	stdout.Reset()
+	if stderr := stderrOf(t, func() error { return run([]string{outer}, &stdout) }); !strings.Contains(stderr, "inner.dag line 2 RETRY") {
+		t.Fatalf("stdout on a spliced file with a RETRY: stderr %q, want a warning naming inner.dag line 2 RETRY", stderr)
+	}
+	if stdout.String() != want {
+		t.Fatalf("flattened output with an inner RETRY:\n%s\nwant:\n%s", stdout.String(), want)
+	}
 	os.WriteFile(filepath.Join(dir, "inner.dag"), []byte("JOB X x.sub\nJOB Y y.sub\n"), 0o644)
-	if err := run([]string{"-inplace", outer}, io.Discard); err != nil {
-		t.Fatal(err)
+	if stderr := stderrOf(t, func() error { return run([]string{"-inplace", outer}, io.Discard) }); stderr != "" {
+		t.Fatalf("-inplace on a plain spliced input warned: %q", stderr)
 	}
 	if got, _ := os.ReadFile(outer); string(got) != want {
 		t.Fatalf("-inplace on a plain spliced input:\n%s\nwant:\n%s", got, want)
 	}
+}
+
+// stderrOf runs f with os.Stderr sent to a file, fails the test if f
+// returns an error, and returns what f wrote to stderr.
+func stderrOf(t *testing.T, f func() error) string {
+	t.Helper()
+	tmp, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	saved := os.Stderr
+	os.Stderr = tmp
+	err = f()
+	os.Stderr = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(got)
 }
 
 func TestRunErrors(t *testing.T) {

@@ -273,7 +273,7 @@ func TestOverheadAndAblationTables(t *testing.T) {
 	s35 := tableRows(t, string(exp), "## Section 3.5 — algorithm engineering")
 	for _, a := range []struct{ row, with, without, readme string }{
 		{"bipartite fast path in the decomposition", "AblationFastPath/on", "AblationFastPath/off", "S 3.5 fast-path speedup"},
-		{"B-tree priority queue in the Combine phase", "AblationCombine/btree", "AblationCombine/naive", "S 3.5 B-tree Combine speedup"},
+		{"sources grouped by interned profile in the Combine phase", "AblationCombine/btree", "AblationCombine/naive", "S 3.5 grouped Combine speedup"},
 	} {
 		with, without, cells := ablations[a.with], ablations[a.without], s35[a.row]
 		if with == nil || without == nil || len(cells) != 6 {

@@ -3,12 +3,12 @@
 // package, mirroring the fact mechanism of golang.org/x/tools/go/
 // analysis. The driver analyzes packages in dependency order (see
 // load.Load), so when package core is analyzed, the facts its analyzer
-// exported while visiting internal/btree are already in the set.
+// exported while visiting internal/bitset are already in the set.
 //
 // The one real problem a fact store must solve is object identity: when
-// btree is analyzed, its functions are *types.Func objects produced by
-// type-checking btree's source; when core is analyzed, the same
-// functions appear as distinct objects decoded from btree's export
+// bitset is analyzed, its functions are *types.Func objects produced by
+// type-checking bitset's source; when core is analyzed, the same
+// functions appear as distinct objects decoded from bitset's export
 // data. The x/tools implementation bridges the two with objectpath
 // encoding; this one uses the simpler key that suffices for the
 // analyzers in this repository — (package path, receiver type name,

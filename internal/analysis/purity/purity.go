@@ -14,11 +14,11 @@
 // function it sees (not just annotated ones) and exports an Impure
 // fact for each function that can reach an effect. When the annotated
 // entry point in core is analyzed, a violation deep inside
-// internal/btree is already recorded as a fact on the btree function,
+// internal/bitset is already recorded as a fact on the bitset function,
 // and the diagnostic carries the whole chain:
 //
-//	Prioritize is annotated //prio:pure but calls btree.rebalance,
-//	which calls time.Now at btree.go:91
+//	Prioritize is annotated //prio:pure but calls bitset.Set.Add,
+//	which calls time.Now at bitset.go:48
 //
 // Writes are detected syntactically: an assignment, increment, or
 // indexed store whose destination resolves to a package-level

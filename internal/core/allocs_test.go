@@ -35,7 +35,7 @@ func TestPrioritizeAllocsPerComponent(t *testing.T) {
 // TestPrioritizeBytesPerJob pins the bytes one Prioritize call on the
 // paper's SDSS dag allocates, as a share of its 48,013 jobs. Component
 // windows hold no pointers and the Recurse phase freezes each one into
-// a reused dag.View, so the call allocates about 375 B per job (18 MB);
+// a reused dag.View, so the call allocates about 370 B per job (18 MB);
 // with a frozen dag.Frozen header and a name table per component, as
 // components were once kept, it allocated 533 B per job (25.6 MB),
 // which the pin of 448 B per job rejects.

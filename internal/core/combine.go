@@ -4,36 +4,14 @@ import (
 	"math"
 
 	"repro/internal/bitset"
-	"repro/internal/btree"
 	"repro/internal/dag"
 )
 
-// groupKey orders profile groups in the B-tree: ascending by minimum
-// pairwise priority, and among equal priorities the maximum element is
-// the group holding the smallest component index, so Max() reproduces
-// the naive tie-breaking exactly.
-type groupKey struct {
-	p       float64
-	minComp int
-	pid     int
-}
-
-func groupKeyLess(a, b groupKey) bool {
-	if a.p != b.p {
-		return a.p < b.p
-	}
-	if a.minComp != b.minComp {
-		return a.minComp > b.minComp
-	}
-	return a.pid > b.pid
-}
-
+// profileGroup is the set of current superdag sources that share one
+// interned eligibility profile.
 type profileGroup struct {
-	pid   int
-	count int
 	comps minHeap[int] // the group's current sources, by index
-	pMin  float64
-	key   groupKey
+	pMin  float64      // minimum priority of the profile over the live ones
 }
 
 // combineOrder returns the order in which the superdag's components are
@@ -42,66 +20,43 @@ type profileGroup struct {
 // of (priority of Ci over Cj). Ties break toward the smallest component
 // index. pids maps each component to its interned eligibility profile.
 //
-// This is the engineered implementation of Section 3.5: sources are
-// grouped by interned eligibility profile and ranked in a B-tree
-// priority queue keyed by minimum pairwise priority, so each round
-// costs O(log) except when the set of distinct profiles changes.
-// Within a group, a slice heap yields the smallest component index. The
-// quadratic design it replaced is kept as combineNaive in
-// combine_oracle_test.go, the oracle it is tested against.
+// This is the engineered implementation of Section 3.5, but not the
+// structure the paper names: where the paper ranks sources in a B-tree
+// priority queue, this groups them by interned eligibility profile,
+// since sources with one profile have one pi. Each round scans the
+// live groups for the highest pMin, ties going to the group holding
+// the smallest component index; a slice heap yields that index within
+// a group. pMin is kept up to date incrementally and recomputed for
+// every group only when a profile leaves. The paper dags never have
+// more than two groups live at once, so the scan is a handful of
+// compares. The quadratic design it replaced is kept as combineNaive
+// in combine_oracle_test.go, the oracle it is tested against.
 func combineOrder(super *dag.Frozen, pids []int, pt *profileTable) []int {
 	n := super.NumNodes()
 	indeg := make([]int, n)
-	// Profile ids are small dense integers, so the live groups are a
-	// slice indexed by pid plus a bitset of occupied slots: the pMin
-	// scans walk set bits instead of a map, which both removes the
-	// hashing from the hot loop and makes the scan order deterministic.
-	groups := make([]*profileGroup, pt.numProfiles())
+	// Profile ids are small dense integers, so the groups are a slice
+	// indexed by pid plus a bitset of the live (nonempty) ones: the
+	// scans walk set bits in pid order, with no hashing.
+	groups := make([]profileGroup, pt.numProfiles())
 	live := bitset.New(pt.numProfiles())
-	tree := btree.New(8, groupKeyLess)
 
-	addComp := func(c int) *profileGroup {
-		pid := pids[c]
-		g := groups[pid]
-		if g == nil {
-			g = &profileGroup{pid: pid}
-			groups[pid] = g
-			live.Add(pid)
-		}
-		g.comps.push(c)
-		g.count++
-		return g
-	}
-	computePMin := func(g *profileGroup) float64 {
+	computePMin := func(pid int) float64 {
 		p := math.Inf(1)
+		lone := len(groups[pid].comps) < 2
 		live.ForEach(func(qid int) bool {
-			if qid == g.pid && g.count < 2 {
+			if qid == pid && lone {
 				return true
 			}
-			if r := pt.r(g.pid, qid); r < p {
+			if r := pt.r(pid, qid); r < p {
 				p = r
 			}
 			return true
 		})
 		return p
 	}
-	refreshKey := func(g *profileGroup, inTree bool) {
-		if inTree {
-			tree.Delete(g.key)
-		}
-		g.key = groupKey{p: g.pMin, minComp: g.comps[0], pid: g.pid}
-		tree.Insert(g.key)
-	}
 	rebuildAll := func() {
 		live.ForEach(func(pid int) bool {
-			tree.Delete(groups[pid].key)
-			return true
-		})
-		live.ForEach(func(pid int) bool {
-			g := groups[pid]
-			g.pMin = computePMin(g)
-			g.key = groupKey{p: g.pMin, minComp: g.comps[0], pid: g.pid}
-			tree.Insert(g.key)
+			groups[pid].pMin = computePMin(pid)
 			return true
 		})
 	}
@@ -109,30 +64,35 @@ func combineOrder(super *dag.Frozen, pids []int, pt *profileTable) []int {
 	for v := 0; v < n; v++ {
 		indeg[v] = super.InDegree(v)
 		if indeg[v] == 0 {
-			addComp(v)
+			groups[pids[v]].comps.push(v)
+			live.Add(pids[v])
 		}
 	}
 	rebuildAll()
 
 	order := make([]int, 0, n)
-	for tree.Len() > 0 {
-		key, _ := tree.Max()
-		g := groups[key.pid]
+	for {
+		best := live.Next(0)
+		if best < 0 {
+			break
+		}
+		for pid := live.Next(best + 1); pid >= 0; pid = live.Next(pid + 1) {
+			g, b := &groups[pid], &groups[best]
+			if g.pMin > b.pMin || g.pMin == b.pMin && g.comps[0] < b.comps[0] {
+				best = pid
+			}
+		}
+		g := &groups[best]
 		comp := g.comps.pop()
 		order = append(order, comp)
-		g.count--
-		if g.count == 0 {
-			tree.Delete(g.key)
-			groups[g.pid] = nil
-			live.Remove(g.pid)
+		switch len(g.comps) {
+		case 0:
+			live.Remove(best)
 			// The departed profile may have been the minimum for others.
 			rebuildAll()
-		} else {
-			if g.count == 1 {
-				// r(g,g) no longer applies to a lone member.
-				g.pMin = computePMin(g)
-			}
-			refreshKey(g, true)
+		case 1:
+			// r(g,g) no longer applies to a lone member.
+			g.pMin = computePMin(best)
 		}
 		for _, c32 := range super.Children(comp) {
 			c := int(c32)
@@ -141,29 +101,25 @@ func combineOrder(super *dag.Frozen, pids []int, pt *profileTable) []int {
 				continue
 			}
 			pid := pids[c]
-			if g2 := groups[pid]; g2 != nil {
-				wasAlone := g2.count == 1
-				g2.comps.push(c)
-				g2.count++
-				if wasAlone {
-					if r := pt.r(pid, pid); r < g2.pMin {
-						g2.pMin = r
-					}
+			g2 := &groups[pid]
+			g2.comps.push(c)
+			switch {
+			case len(g2.comps) == 2:
+				// A second member brings r(g,g) into the minimum.
+				if r := pt.r(pid, pid); r < g2.pMin {
+					g2.pMin = r
 				}
-				refreshKey(g2, true)
-			} else {
-				g2 := addComp(c)
-				g2.pMin = computePMin(g2)
-				refreshKey(g2, false)
+			case len(g2.comps) == 1:
+				live.Add(pid)
+				g2.pMin = computePMin(pid)
 				// A new profile can lower every other group's minimum.
 				live.ForEach(func(hpid int) bool {
 					if hpid == pid {
 						return true
 					}
-					h := groups[hpid]
+					h := &groups[hpid]
 					if r := pt.r(hpid, pid); r < h.pMin {
 						h.pMin = r
-						refreshKey(h, true)
 					}
 					return true
 				})

@@ -18,8 +18,11 @@
 //     picking a source component whose minimum r-priority over the
 //     other current sources is largest (Steps 4-6). Profiles are
 //     interned in a profileTable whose pairwise-priority matrix is
-//     dense and bitset-backed, and the current sources are ranked in
-//     the B-tree priority queue of Section 3.5. The quadratic design it
+//     dense and bitset-backed, and the current sources are grouped by
+//     profile, so each round scans the live groups rather than the
+//     sources. That grouping, not the B-tree priority queue Section 3.5
+//     names, is where this Combine's speed comes from: the paper dags
+//     never have more than two groups live. The quadratic design it
 //     replaced survives only as a test oracle (combineNaive in
 //     combine_oracle_test.go), which BenchmarkAblationCombine times
 //     against it.

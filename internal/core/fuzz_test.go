@@ -34,10 +34,10 @@ func decodeDAG(data []byte) *dag.Frozen {
 	return g.MustFreeze()
 }
 
-// FuzzSchedule checks the pipeline's two contracts on arbitrary dags:
-// the schedule is a permutation of all jobs that respects every
-// precedence arc, and the memoized configuration is bit-identical to
-// the uncached one.
+// FuzzSchedule checks the pipeline's contracts on arbitrary dags: the
+// schedule is a permutation of all jobs that respects every precedence
+// arc, its Combine order is the one combineNaive gives, and the
+// memoized configuration is bit-identical to the uncached one.
 func FuzzSchedule(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{5})
@@ -53,6 +53,7 @@ func FuzzSchedule(f *testing.F) {
 		if err := ValidateExecutionOrder(g, ref.Order); err != nil {
 			t.Fatalf("schedule invalid on %v: %v\norder: %v", data, err, ref.Order)
 		}
+		checkCombineOracle(t, fmt.Sprint(data), ref)
 		cached := PrioritizeOpts(g, Options{Cache: NewCache()})
 		if !slices.Equal(cached.Order, ref.Order) {
 			t.Fatalf("cached order diverged on %v:\nref:    %v\ncached: %v", data, ref.Order, cached.Order)

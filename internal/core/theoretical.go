@@ -27,15 +27,7 @@ import (
 // algorithm whenever this algorithm works, and still produces a schedule
 // when it fails.
 func TheoreticalSchedule(g *dag.Frozen) ([]int, error) {
-	return TheoreticalScheduleOpts(g, decompose.Options{})
-}
-
-// TheoreticalScheduleOpts is TheoreticalSchedule with explicit Divide
-// options, so callers that also run the heuristic (prio -theoretical)
-// can share a decompose.Options.ReduceCache and pay for the transitive
-// reduction once.
-func TheoreticalScheduleOpts(g *dag.Frozen, dopts decompose.Options) ([]int, error) {
-	dec := decompose.DecomposeOpts(g, dopts)
+	dec := decompose.Decompose(g)
 
 	// Step 2: every component must be a bipartite building block whose
 	// sources were sources of the remnant.

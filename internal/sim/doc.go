@@ -32,10 +32,10 @@
 // Sweep then replicate Run over seeded streams and reduce the metrics
 // to the paper's sampling-distribution confidence intervals
 // (P*Q replications, Section 4.2). PolicyFactoryOpts threads a
-// core.Options through, so the simulators inherit -cache from
-// cmd/dagsim; the simulation itself is bit-identical either way, since
-// the memoized pipeline is differentially tested to produce the
-// uncached order. Simulated dags arrive as *dag.Frozen
+// core.Options through, so priod's tenants share their schedule cache
+// with the simulations they run; the simulation itself is bit-identical
+// either way, since the memoized pipeline is differentially tested to
+// produce the uncached order. Simulated dags arrive as *dag.Frozen
 // values; the replication kernel's hot loop walks the Frozen's CSR
 // arc arena directly (dag.Frozen.ChildCSR), so the simulator carries
 // no private copy of the graph.

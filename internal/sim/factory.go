@@ -35,9 +35,10 @@ func PolicyFactory(name string, g *dag.Frozen) (func() Policy, error) {
 }
 
 // PolicyFactoryOpts is PolicyFactory with explicit pipeline options for
-// the PRIO-based policies, so the simulator harnesses can use the
-// schedule cache (dagsim -cache). Schedules are computed once per factory, up front; the
-// returned constructors never run the pipeline again.
+// the PRIO-based policies, so a caller can share a schedule cache
+// (priod's per-tenant core.Cache). Schedules are computed once per
+// factory, up front; the returned constructors never run the pipeline
+// again.
 func PolicyFactoryOpts(name string, g *dag.Frozen, opts core.Options) (func() Policy, error) {
 	switch {
 	case name == "fifo":

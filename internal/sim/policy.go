@@ -49,8 +49,7 @@ type Oblivious struct {
 	rank []int
 	// eligible holds the ranks of the currently eligible, unassigned
 	// jobs; Next pops the minimum rank. Ranks are unique, so the pop
-	// order is a pure function of the set's contents — swapping the
-	// earlier btree for the reusable bitmap cannot change a schedule.
+	// order is a pure function of the set's contents.
 	eligible bitset.MinSet
 	order    []int // rank -> job
 }
