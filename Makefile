@@ -144,6 +144,7 @@ fuzz:
 	$(GO) test ./internal/dagman -fuzz 'FuzzInstrument$$' -fuzztime 30s
 	$(GO) test ./internal/core -fuzz FuzzSchedule -fuzztime 30s
 	$(GO) test ./internal/sim -fuzz FuzzKernelReplication -fuzztime 30s
+	$(GO) test ./internal/rng -fuzz FuzzNormal -fuzztime 30s
 	$(GO) test ./internal/serve -fuzz FuzzPrioritizeRequest -fuzztime 30s
 	$(GO) test ./internal/dag -fuzz FuzzShortcutArcs -fuzztime 30s
 	$(GO) test ./internal/decompose -fuzz FuzzGeneralRound -fuzztime 30s
@@ -151,7 +152,8 @@ fuzz:
 # Short fuzz pass for CI: 10s per target on the invariants that matter
 # most (parser round-trip, the parser against its reference oracle,
 # instrumentation rewrite safety, schedule validity/determinism,
-# pooled-kernel equivalence, response determinism and well-formedness
+# pooled-kernel equivalence, Normal against its math.Cos reference,
+# response determinism and well-formedness
 # through the real mux, and Divide's shortcut search and general round
 # against their test-only oracles).
 fuzz-smoke:
@@ -160,6 +162,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dagman -run xxx -fuzz 'FuzzInstrument$$' -fuzztime 10s
 	$(GO) test ./internal/core -run xxx -fuzz FuzzSchedule -fuzztime 10s
 	$(GO) test ./internal/sim -run xxx -fuzz FuzzKernelReplication -fuzztime 10s
+	$(GO) test ./internal/rng -run xxx -fuzz FuzzNormal -fuzztime 10s
 	$(GO) test ./internal/serve -run xxx -fuzz FuzzPrioritizeRequest -fuzztime 10s
 	$(GO) test ./internal/dag -run xxx -fuzz FuzzShortcutArcs -fuzztime 10s
 	$(GO) test ./internal/decompose -run xxx -fuzz FuzzGeneralRound -fuzztime 10s

@@ -55,6 +55,9 @@ func run(args []string, w io.Writer) error {
 	}
 	params := sim.DefaultParams(*bit, *bs)
 	params.FailureProb = *fail
+	if err := params.Validate(); err != nil {
+		return err
+	}
 
 	var obs sim.Observer
 	if *trace {

@@ -228,6 +228,18 @@ func run(args []string, w, ew io.Writer) error {
 		pairs = []pair{{num: *policy, den: *against, numFact: numFact, denFact: denFact}}
 	}
 
+	points := make([]sim.Params, 0, len(muBITs)*len(muBSs))
+	for _, bit := range muBITs {
+		for _, bs := range muBSs {
+			params := sim.DefaultParams(bit, bs)
+			params.FailureProb = *fail
+			if err := params.Validate(); err != nil {
+				return fmt.Errorf("point mu_bit=%g mu_bs=%g: %w", bit, bs, err)
+			}
+			points = append(points, params)
+		}
+	}
+
 	opts := sim.ExperimentOptions{P: *p, Q: *q, Seed: *seed, Workers: *workers, Confidence: 95, Shard: shard}
 	comment := func(f string, a ...any) {
 		if *format != "json" { // keep json output pure NDJSON
@@ -237,15 +249,6 @@ func run(args []string, w, ew io.Writer) error {
 	comment("# dag=%s jobs=%d arcs=%d  p=%d q=%d seed=%d\n", label, g.NumNodes(), g.NumArcs(), *p, *q, *seed)
 	if *format == "tsv" {
 		fmt.Fprintln(w, "mu_bit\tmu_bs\ttime_med\ttime_lo\ttime_hi\tstall_med\tstall_lo\tstall_hi\tutil_med\tutil_lo\tutil_hi")
-	}
-
-	points := make([]sim.Params, 0, len(muBITs)*len(muBSs))
-	for _, bit := range muBITs {
-		for _, bs := range muBSs {
-			params := sim.DefaultParams(bit, bs)
-			params.FailureProb = *fail
-			points = append(points, params)
-		}
 	}
 
 	start := time.Now()

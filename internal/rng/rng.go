@@ -114,17 +114,65 @@ func (r *Source) Exp(mean float64) float64 {
 // Normal returns a normally distributed float64 with the given mean and
 // standard deviation, via the Box-Muller transform, one draw per call.
 // The simulator is RNG-bound here: in CPU profiles of
-// BenchmarkRunKernel/sdss, Normal is 44% (fifo) to 64% (prio) of the
-// time and math.Log alone 22% to 35%. It stays as it is because any
-// faster transform (polar, ziggurat, or keeping Box-Muller's second
-// draw) maps the same Source state to different values, which changes
-// every simulated duration and so every golden the simulator is held
-// to.
+// BenchmarkRunKernel/sdss on math.Cos, Normal was 41% (fifo) to 61%
+// (prio) of the replication. The transform itself is fixed, because
+// any other one (polar, ziggurat, or keeping Box-Muller's second draw)
+// maps the same Source state to different values, which changes every
+// simulated duration and so every golden the simulator is held to.
+// What can change is how a term is computed, as long as its bits do
+// not: the cosine is cos below, math.Cos's algorithm without its octant
+// branches. math.Log stays: a pure-Go copy of its algorithm measured
+// 16.5-16.8 ns per call against 10.7-14.2 ns for math.Log, which is
+// assembly on amd64.
 func (r *Source) Normal(mean, stddev float64) float64 {
 	u1 := 1 - r.Float64() // (0,1]
 	u2 := r.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+	z := math.Sqrt(-2*math.Log(u1)) * cos(2*math.Pi*u2)
 	return mean + stddev*z
+}
+
+// cos returns math.Cos(x), bit for bit, for x in [0, 2*Pi]: the same
+// Cody-Waite reduction into octants and the same two Cephes
+// polynomials, every operation in the same order. Where math.Cos
+// branches on the octant to pick the sine or cosine polynomial and the
+// sign, cos evaluates both polynomials and selects with bit masks. For
+// Box-Muller's uniform angle the octant is a coin flip the branch
+// predictor loses, and a misprediction costs more than the second
+// polynomial. The domain skips math.Cos's NaN, Inf, negative and
+// huge-argument cases, which a uniform angle never reaches.
+func cos(x float64) float64 {
+	const (
+		pi4A = 7.85398125648498535156e-1  // Pi/4 split into three parts
+		pi4B = 3.77489470793079817668e-8  //
+		pi4C = 2.69515142907905952645e-15 //
+
+		sin0 = 1.58962301576546568060e-10
+		sin1 = -2.50507477628578072866e-8
+		sin2 = 2.75573136213857245213e-6
+		sin3 = -1.98412698295895385996e-4
+		sin4 = 8.33333333332211858878e-3
+		sin5 = -1.66666666666666307295e-1
+
+		cos0 = -1.13585365213876817300e-11
+		cos1 = 2.08757008419747316778e-9
+		cos2 = -2.75573141792967388112e-7
+		cos3 = 2.48015872888517045348e-5
+		cos4 = -1.38888888888730564116e-3
+		cos5 = 4.16666666666665929218e-2
+	)
+	j := uint64(x * (4 / math.Pi)) // integer part of x/(Pi/4)
+	j += j & 1                     // map zeros to origin
+	y := float64(j)
+	z := ((x - y*pi4A) - y*pi4B) - y*pi4C // extended precision modular arithmetic
+	j &= 7                                // octant 0, 2, 4 or 6
+	zz := z * z
+	s := z + z*zz*((((((sin0*zz)+sin1)*zz+sin2)*zz+sin3)*zz+sin4)*zz+sin5)
+	c := 1.0 - 0.5*zz + zz*zz*((((((cos0*zz)+cos1)*zz+cos2)*zz+cos3)*zz+cos4)*zz+cos5)
+	// Octants 2 and 6 take the sine polynomial, 2 and 4 are negated.
+	useSin := -(j >> 1 & 1)
+	b := math.Float64bits(s)&useSin | math.Float64bits(c)&^useSin
+	b ^= ((j + 2) >> 2 & 1) << 63
+	return math.Float64frombits(b)
 }
 
 // Perm returns a random permutation of [0, n) using Fisher-Yates.

@@ -177,6 +177,70 @@ func TestNormalTails(t *testing.T) {
 	}
 }
 
+// normalRef is Normal as it was written before cos: the textbook
+// Box-Muller line on math.Cos. Normal must match it bit for bit.
+func normalRef(r *Source, mean, stddev float64) float64 {
+	u1 := 1 - r.Float64()
+	u2 := r.Float64()
+	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+	return mean + stddev*z
+}
+
+// TestNormalMatchesReference holds Normal to normalRef over 10^7 draws
+// from several seeds, at the paper's N(1, 0.1) and at N(0, 1), and
+// holds cos to math.Cos within 1,000 ulps either side of every octant
+// boundary k*Pi/4 of [0, 2*Pi], where the reduction switches polynomial
+// and sign.
+func TestNormalMatchesReference(t *testing.T) {
+	const perSeed = 2_000_000
+	for _, seed := range []uint64{1, 2, 3, 0xdeadbeef, 1 << 63} {
+		a, b := New(seed), New(seed)
+		for i := 0; i < perSeed; i++ {
+			mean, sd := 1.0, 0.1
+			if i&1 == 1 {
+				mean, sd = 0, 1
+			}
+			got, want := a.Normal(mean, sd), normalRef(b, mean, sd)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %#x draw %d: Normal = %v (%#x), reference %v (%#x)",
+					seed, i, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+	for k := 0; k <= 8; k++ {
+		x0 := float64(k) * math.Pi / 4
+		for d := -1000; d <= 1000; d++ {
+			x := math.Float64frombits(uint64(int64(math.Float64bits(x0)) + int64(d)))
+			if k == 0 {
+				x = math.Float64frombits(uint64(d + 1000)) // [0, 2000 ulps]
+			}
+			if got, want := cos(x), math.Cos(x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("cos(%v) = %v, math.Cos = %v (octant boundary %d, %+d ulps)", x, got, want, k, d)
+			}
+		}
+	}
+}
+
+// FuzzNormal checks Normal against normalRef from arbitrary seeds, and
+// cos against math.Cos at an arbitrary angle in [0, 2*Pi).
+func FuzzNormal(f *testing.F) {
+	f.Add(uint64(0), uint64(0))
+	f.Add(uint64(1), uint64(1)<<62)
+	f.Add(uint64(42), ^uint64(0))
+	f.Fuzz(func(t *testing.T, seed, angle uint64) {
+		a, b := New(seed), New(seed)
+		for i := 0; i < 256; i++ {
+			if got, want := a.Normal(1, 0.1), normalRef(b, 1, 0.1); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d draw %d: Normal = %v, reference %v", seed, i, got, want)
+			}
+		}
+		x := 2 * math.Pi * (float64(angle>>11) / (1 << 53))
+		if got, want := cos(x), math.Cos(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("cos(%v) = %v, math.Cos = %v", x, got, want)
+		}
+	})
+}
+
 func TestPermIsPermutation(t *testing.T) {
 	r := New(11)
 	for n := 0; n <= 20; n++ {
@@ -241,6 +305,15 @@ func BenchmarkNormal(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Normal(1, 0.1)
+	}
+}
+
+// BenchmarkNormalRef times normalRef, the math.Cos form Normal
+// replaced, for comparison with BenchmarkNormal.
+func BenchmarkNormalRef(b *testing.B) {
+	r := New(1)
+	for i := 0; i < b.N; i++ {
+		_ = normalRef(r, 1, 0.1)
 	}
 }
 

@@ -408,8 +408,11 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "mu_bs: "+err.Error())
 		return
 	}
-	if muBIT <= 0 || muBS <= 0 {
-		writeError(w, http.StatusBadRequest, "mu_bit and mu_bs must be positive")
+	// ParseFloat accepts NaN and Inf, which would hold an admission
+	// slot and a CPU forever: Validate refuses them with the rest.
+	params := sim.DefaultParams(muBIT, muBS)
+	if err := params.Validate(); err != nil {
+		writeError(w, http.StatusBadRequest, "mu_bit, mu_bs: "+err.Error())
 		return
 	}
 	p, err := intParam(q.Get("p"), 20)
@@ -426,9 +429,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "p and q must be at least 1")
 		return
 	}
-	if p*qq > s.cfg.MaxReplications {
+	// Divide rather than multiply: p*q can overflow to a small value
+	// (p = q = 2^32 gives 0) and pass, and the simulation then asks for
+	// more memory than the host has.
+	if p > s.cfg.MaxReplications/qq {
 		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("p*q = %d replications; limit is %d (tune -max-replications)", p*qq, s.cfg.MaxReplications))
+			fmt.Sprintf("p = %d, q = %d: more than %d replications (tune -max-replications)", p, qq, s.cfg.MaxReplications))
 		return
 	}
 	seed, err := intParam(q.Get("seed"), 1)
@@ -462,7 +468,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	// One admission slot is one CPU's worth of work: keep the
 	// simulation single-worker so a simulate request cannot grab every
 	// core from under the other in-flight requests.
-	c := sim.Compare(g, sim.DefaultParams(muBIT, muBS), factoryA, factoryB,
+	c := sim.Compare(g, params, factoryA, factoryB,
 		sim.ExperimentOptions{P: p, Q: qq, Seed: uint64(seed), Workers: 1})
 	writeJSON(w, simResponse{
 		Jobs:     g.NumNodes(),

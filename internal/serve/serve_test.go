@@ -8,6 +8,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
 
 // fig3Dag is the paper's worked 5-job example (Fig. 3): c has two
@@ -235,6 +236,7 @@ func TestSimulate(t *testing.T) {
 		{"negative mu_bit", "?mu_bit=-1", http.StatusBadRequest},
 		{"malformed p", "?p=x", http.StatusBadRequest},
 		{"replication cap", "?p=20&q=20", http.StatusRequestEntityTooLarge},
+		{"replication cap, p*q overflows", "?p=4294967296&q=4294967296", http.StatusRequestEntityTooLarge},
 		{"unknown policy", "?p=2&q=2&policy_a=banker", http.StatusBadRequest},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -297,5 +299,35 @@ func TestRoutesDocumented(t *testing.T) {
 	}
 	if documented != len(s.Routes()) {
 		t.Errorf("docs/API.md has %d route headings, server registers %d routes", documented, len(s.Routes()))
+	}
+}
+
+// TestSimulateRejectsNonFinite posts mu_bit and mu_bs values that
+// strconv.ParseFloat accepts but the model does not: each must get a
+// 400 promptly. Such a simulation never finishes, so the handler runs
+// on its own goroutine under a deadline, and a regression fails here
+// instead of holding an admission slot and a CPU until the binary's
+// timeout.
+func TestSimulateRejectsNonFinite(t *testing.T) {
+	h := New(Config{MaxReplications: 100}).Handler()
+	for _, q := range []string{"mu_bit=NaN", "mu_bit=Inf", "mu_bit=-Inf", "mu_bs=NaN", "mu_bs=%2BInf"} {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest("POST", "/v1/simulate?p=2&q=2&"+q, strings.NewReader(fig3Dag))
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			h.ServeHTTP(rec, req)
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: no response within 5s", q)
+		}
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want %d (body %q)", q, rec.Code, http.StatusBadRequest, rec.Body)
+		}
+		if !strings.Contains(rec.Body.String(), "not finite") {
+			t.Fatalf("%s: body %q does not say why", q, rec.Body)
+		}
 	}
 }

@@ -44,9 +44,12 @@
 //
 // Runs are deterministic given a seed: measure pre-derives one seed per
 // replication from a single stream before any goroutine starts, so
-// results do not depend on Workers or on goroutine interleaving. A
-// policy sees every job exactly once via Eligible before it can return
-// it from Next, and Run validates Params before simulating.
+// results do not depend on Workers or on goroutine interleaving. In
+// exact mode a policy sees every job exactly once via Eligible before
+// it can return it from Next; in set mode (the paper's PRIO and FIFO
+// runs) the kernel makes the same pops itself (kernel.go). Run panics
+// on Params that Params.Validate rejects, non-finite values included;
+// the CLIs and priod call Validate before any replication starts.
 //
 // # Zero-allocation contract
 //
@@ -55,10 +58,11 @@
 // high-water mark of the seeds it replays, Runner.Run allocates nothing,
 // whichever drain mode (kernel.go) and Policy implementation the run
 // takes. TestRunKernelZeroAllocs is the census that pins it: every
-// drain regime (default parameters, rollover with wide buckets, per-job
-// means past the wheel's horizon, failures with and without rollover)
-// crossed with every Policy implementation Run can dispatch to, each
-// row at 0 allocations per replay of its seeds. The bench-sim gates
+// drain regime (default parameters, tied completion times, rollover
+// with wide buckets, per-job means past the wheel's horizon, failures
+// with and without rollover) crossed with every Policy implementation
+// Run can dispatch to, each row at 0 allocations per replay of its
+// seeds. TestDrainModeCensus pins which of them drain in set mode. The bench-sim gates
 // hold the benchmarked RunKernel rows at 0 allocs/op and 0 B/op.
 //
 // # Concurrency contract

@@ -117,7 +117,7 @@ func CompareGrid(g *dag.Frozen, points []Params, a, b func() Policy, opts Experi
 func CompareGridResume(g *dag.Frozen, points []Params, a, b func() Policy, opts ExperimentOptions, have map[int]PointSample, save func(int, PointSample), progress func(int, Comparison)) []Comparison {
 	opts = opts.normalized()
 	for _, p := range points {
-		if err := p.validate(); err != nil {
+		if err := p.Validate(); err != nil {
 			panic(err)
 		}
 	}

@@ -15,7 +15,8 @@ import (
 // the experiment driver runs one per worker. Every name below except
 // fifo, random, and the maxjobs throttle resolves through the ranker
 // tier (internal/rank) into one Oblivious state machine, so the whole
-// family shares the kernel's set mode. Recognized names —
+// family shares the kernel's set mode; fifo takes set mode too, on the
+// kernel's own release-order queue. Recognized names —
 // PolicyGrammar returns exactly this table's first column, and
 // TestFactoryDocGrammar pins the two together:
 //

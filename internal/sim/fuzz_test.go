@@ -22,8 +22,14 @@ import (
 // Two further references pin the calendar's drain modes (kernel.go):
 // every input also runs through runOrdered, the test-only sort-merge
 // reference kernel, which must agree bit for bit — in exact mode for
-// order-sensitive inputs, in set mode for Oblivious ones. And when the
-// input lands in set mode's domain (Oblivious, no failures, no
+// order-sensitive inputs (RANDOM, the maxjobs throttle, failures,
+// rollover), in set mode for Oblivious and FIFO ones without failures
+// or rollover. FIFO's set mode completes each bucket in (at, job)
+// order, so those inputs also draw the job-time spread from {0.1, 1, 3}
+// (muBIT/300 picks it; every muBIT below 300 keeps the paper's 0.1): at
+// 3 the 1e-3 job-time floor clamps about a third of the draws, and a
+// batch's clamped jobs complete at the same instant. And when the input
+// lands in the rank set mode's domain (Oblivious, no failures, no
 // rollover), the result is additionally checked against
 // runNaiveOblivious, an independent quadratic rescan specification
 // that shares no eligibility tracking, event queue, or id relabeling
@@ -41,6 +47,14 @@ func FuzzKernelReplication(f *testing.F) {
 	// registry (rotation and length from the remaining bits).
 	f.Add([]byte{0xaa, 0x33}, uint8(0x80), uint16(40), uint16(200), uint8(0), false, uint64(5), uint64(17))
 	f.Add([]byte{0xff, 0x0f, 0xf0}, uint8(0xe5), uint16(120), uint16(900), uint8(0), false, uint64(13), uint64(13))
+	// FIFO's set mode (polSel 1, no failures, no rollover): the paper's
+	// spread, then spreads of 1 and 3, where clamped draws tie.
+	f.Add([]byte{0xff, 0x0f, 0xf0}, uint8(1), uint16(40), uint16(300), uint8(0), false, uint64(5), uint64(6))
+	f.Add([]byte{0x07, 0xff, 0xff, 0xff, 0x7f}, uint8(1), uint16(301), uint16(50), uint8(2), false, uint64(8), uint64(8))
+	f.Add([]byte{0x07, 0xff, 0xff, 0xff, 0x7f}, uint8(1), uint16(650), uint16(1200), uint8(0), false, uint64(9), uint64(10))
+	f.Add([]byte{0x05, 0x00}, uint8(8), uint16(899), uint16(799), uint8(0), false, uint64(31), uint64(32))
+	// The rank set mode under the same tie-heavy spread.
+	f.Add([]byte{0x07, 0xff, 0xff, 0xff, 0x7f}, uint8(0), uint16(620), uint16(1200), uint8(0), false, uint64(9), uint64(10))
 
 	f.Fuzz(func(t *testing.T, edges []byte, polSel uint8, muBIT, muBS uint16, failPct uint8, rollover bool, seed1, seed2 uint64) {
 		g := fuzzDag(edges)
@@ -52,7 +66,7 @@ func FuzzKernelReplication(f *testing.F) {
 			BatchInterarrival: 0.05 + float64(muBIT%300)/100,
 			BatchSize:         0.5 + float64(muBS%1600)/100,
 			JobTimeMean:       1.0,
-			JobTimeStdDev:     0.1,
+			JobTimeStdDev:     [...]float64{0.1, 1, 3}[muBIT/300%3],
 			FailureProb:       float64((failPct>>1)%80) / 100 * float64(failPct&1),
 			RolloverWorkers:   rollover,
 		}

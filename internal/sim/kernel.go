@@ -12,16 +12,23 @@
 // the wheel's horizon chain into an overflow list. The calendar drains
 // in one of two modes, fixed per replication:
 //
-//   - Set mode serves a staticRank policy with no failures, rollover,
-//     per-job means or observer. Such a policy is a set — Next pops the
-//     minimum rank of the eligible set — so the order of completions
-//     between two batch arrivals is unobservable: drain empties whole
-//     buckets unsorted, filters only the boundary bucket, and reports
-//     the latest insert as the final completion. Eligibility goes
-//     straight into bitset words, walking children in a topo-relabeled
-//     id space so a completion's children cluster in memory.
-//   - Exact mode serves everything that consumes pop order (FIFO,
-//     RANDOM, TwoLevel, failure draws, rollover assignments, per-job
+//   - Set mode serves a staticRank policy or FIFO with no failures,
+//     rollover, per-job means or observer, and makes every pop itself,
+//     without a Policy call. It walks children in a topo-relabeled id
+//     space, so a completion's children cluster in memory, and reports
+//     the latest insert as the final completion. A staticRank policy is
+//     a set — Next pops the minimum rank of the eligible set — so the
+//     order of completions between two batch arrivals is unobservable:
+//     eligibility goes straight into bitset words, and drain empties
+//     whole buckets unsorted and filters only the boundary bucket. FIFO
+//     pops in release order: first the sources, in g.Sources() order,
+//     then for each completion in global (at, original id) order the
+//     children whose last parent it was, in g's CSR order. So its
+//     releases go onto a queue, the ring runs at exact mode's fine
+//     resolution, and drainSorted completes each bucket's due events in
+//     (at, original id) order.
+//   - Exact mode serves everything else that consumes pop order
+//     (RANDOM, TwoLevel, failure draws, rollover assignments, per-job
 //     means, the Observer). next hands out completions one at a time in
 //     global (at, job) order: the bucket being drained is loaded into a
 //     sorted buffer, an insert that lands in it joins the buffer, and
@@ -29,10 +36,10 @@
 //
 // Both modes draw randomness in the model's order — batch size, one job
 // time per assignment, a failure draw per completion, interarrival — so
-// an Oblivious policy gives bit-identical metrics in either. The tests
-// pin the kernel to a test-only copy of the original sort-merge kernel
-// (runOrdered), a naive rescan specification, and the pre-engine
-// goldens.
+// an Oblivious policy or FIFO gives bit-identical metrics in either. The
+// tests pin the kernel to a test-only copy of the original sort-merge
+// kernel (runOrdered), a naive rescan specification, and the pre-engine
+// goldens, and TestDrainModeCensus pins which runs take set mode.
 package sim
 
 import (
@@ -73,32 +80,46 @@ type event struct {
 	next int32
 }
 
+// drainMode is how one replication drains the calendar (see the
+// header): set mode for a rank policy or for FIFO, else exact mode.
+type drainMode uint8
+
+const (
+	exactDrain drainMode = iota
+	rankDrain            // set mode, eligibility in a rank bitset
+	fifoDrain            // set mode, eligibility in a release-order queue
+)
+
 // runState is the pooled state of one worker's replications: the
-// calendar, exact mode's sorted bucket, and set mode's relabeled
-// topology and rank tables, rebuilt only when the policy instance or
-// the dag changes. The zero value is ready to use; buffers grow on
-// first use and are then only truncated.
+// calendar, exact mode's sorted bucket, set mode's relabeled topology
+// (rebuilt only when the dag changes) and rank tables (rebuilt only
+// when the policy instance or the dag changes). The zero value is
+// ready to use; buffers grow on first use and are then only truncated.
 //
 // rem and rank are deliberately separate arrays, not one fused record:
 // the completion walk decrements rem once per arc but reads rank only
 // once per node ever, so splitting halves the hot working set.
 type runState struct {
-	owner *Oblivious // set-mode cache key: rebuilt when the policy changes
-	g     *dag.Frozen
+	g     *dag.Frozen // relabeled-topology cache key
+	owner *Oblivious  // rank-table cache key
+	mode  drainMode   // the current (or last) replication's drain mode
 
-	// pol and setPol memoize run's staticRank test for the policy of the
-	// previous replication. Asserting to an interface type goes through
-	// the runtime until the call site's type cache holds the policy's
-	// type, and the runtime grows that cache on the heap about once per
-	// thousand such calls, so the test runs once per policy instance
-	// instead of once per replication. Policies are stateful, so every
-	// implementation is a pointer and compares by identity.
+	// pol, setPol and fifo memoize run's staticRank and *FIFO tests for
+	// the policy of the previous replication. Asserting to an interface
+	// type goes through the runtime until the call site's type cache
+	// holds the policy's type, and the runtime grows that cache on the
+	// heap about once per thousand such calls, so the tests run once
+	// per policy instance instead of once per replication. Policies are
+	// stateful, so every implementation is a pointer and compares by
+	// identity.
 	pol    Policy
 	setPol *Oblivious
+	fifo   bool
 
 	// Set mode's topo-relabeled topology: node i is the i-th node of
-	// g.Topo(), so sources are exactly the ids [0, nSources) and a
-	// completion's children cluster just after it in id space.
+	// g.Topo(), so sources are exactly the ids [0, nSources), in
+	// g.Sources() order, and a completion's children cluster just after
+	// it in id space. A node's children keep g's CSR order.
 	childStart []int32
 	children   []int32
 	initRem    []int32
@@ -107,6 +128,13 @@ type runState struct {
 	jobOfRank  []int32 // rank -> topo-relabeled id
 	nSources   int
 	elig       bitset.MinSet
+
+	// FIFO set mode's eligible jobs, in relabeled ids and in the order
+	// they became eligible: queue is the unassigned suffix of qbuf. Each
+	// job is released once per replication, so appends never outgrow
+	// qbuf's n slots.
+	queue []int32
+	qbuf  []int32
 
 	// remaining counts unexecuted parents in the original id space
 	// (exact mode, which walks g's own CSR and calls the policy).
@@ -136,29 +164,24 @@ type runState struct {
 
 	// cur is exact mode's current bucket, baseVi, sorted by (at, job):
 	// cur[ci:] is still pending. The ring then holds only later
-	// buckets; an insert at or before baseVi goes into cur.
+	// buckets; an insert at or before baseVi goes into cur. FIFO set
+	// mode sorts each bucket's due events into it.
 	cur []completion
 	ci  int
 }
 
-// build derives the topo-relabeled topology and rank tables for (g, o),
-// reusing every buffer whose size still fits. Rebuilding for a policy
-// change on the same dag touches no allocator.
-func (st *runState) build(g *dag.Frozen, o *Oblivious) {
-	order := o.StaticOrder()
+// buildTopo derives set mode's topo-relabeled topology for g, reusing
+// every buffer whose size still fits. The rank tables are relative to
+// the relabeling, so it also drops their cache key.
+func (st *runState) buildTopo(g *dag.Frozen) {
 	n := g.NumNodes()
-	if len(order) != n {
-		panic(fmt.Sprintf("sim: order covers %d jobs, dag has %d", len(order), n))
-	}
-	st.owner, st.g = o, g
+	st.g, st.owner = g, nil
 	topo, pos := g.Topo(), g.TopoPositions()
 	cs, ch := g.ChildCSR()
 	st.childStart = resize(st.childStart, n+1)
 	st.children = resize(st.children, int(cs[n]))
 	st.initRem = resize(st.initRem, n)
 	st.rem = resize(st.rem, n)
-	st.rank = resize(st.rank, n)
-	st.jobOfRank = resize(st.jobOfRank, n)
 	w := int32(0)
 	for i, v := range topo {
 		st.childStart[i] = w
@@ -169,12 +192,27 @@ func (st *runState) build(g *dag.Frozen, o *Oblivious) {
 		st.initRem[i] = int32(g.InDegree(int(v)))
 	}
 	st.childStart[n] = w
+	st.nSources = len(g.Sources())
+}
+
+// buildRank derives the rank tables of o's order over the relabeled
+// topology buildTopo last built. Rebuilding for a policy change on the
+// same dag touches no allocator.
+func (st *runState) buildRank(o *Oblivious) {
+	order := o.StaticOrder()
+	n := st.g.NumNodes()
+	if len(order) != n {
+		panic(fmt.Sprintf("sim: order covers %d jobs, dag has %d", len(order), n))
+	}
+	st.owner = o
+	pos := st.g.TopoPositions()
+	st.rank = resize(st.rank, n)
+	st.jobOfRank = resize(st.jobOfRank, n)
 	for r, v := range order {
 		j := pos[v]
 		st.jobOfRank[r] = j
 		st.rank[j] = int32(r)
 	}
-	st.nSources = len(g.Sources())
 }
 
 // resize returns s if it has length n, else a fresh zeroed slice.
@@ -185,16 +223,18 @@ func resize(s []int32, n int) []int32 {
 	return s
 }
 
-// start resets st for a replication of g: an empty calendar whose
-// resolution suits p's job-time distribution and the drain mode, and
-// that mode's remaining-parents counters. Set mode also seeds its
-// eligible set with the sources' ranks; exact mode leaves eligibility
-// to the policy. The arena is pre-sized to the job count — a job is
-// pending at most once at a time, so only re-assignments after failures
-// grow it — and so is exact mode's bucket buffer.
+// start resets st for a replication of g in the given drain mode: an
+// empty calendar whose resolution suits p's job-time distribution and
+// the mode, and that mode's remaining-parents counters. Set mode also
+// seeds its eligible set (the sources' ranks, or the sources in
+// g.Sources() order); exact mode leaves eligibility to the policy. The
+// arena is pre-sized to the job count — a job is pending at most once
+// at a time, so only re-assignments after failures grow it — and so
+// are the bucket buffer and the FIFO queue.
 //
 //prio:nobce
-func (st *runState) start(g *dag.Frozen, p Params, exact bool) {
+func (st *runState) start(g *dag.Frozen, p Params, mode drainMode) {
+	st.mode = mode
 	n := g.NumNodes()
 	if !st.clean {
 		for i := range st.heads {
@@ -209,13 +249,14 @@ func (st *runState) start(g *dag.Frozen, p Params, exact bool) {
 		st.events = make([]event, 0, n)
 	}
 	st.events = st.events[:0]
-	// res is buckets per effective job-time span. Set mode never sorts,
-	// so it walks few, full buckets. Exact mode sorts every bucket it
-	// loads, so its resolution tracks the mean burst, landing a few
-	// events per bucket, up to a wheel spanning two job-time spans.
+	// res is buckets per effective job-time span. Rank set mode never
+	// sorts, so it walks few, full buckets. Exact and FIFO set mode sort
+	// every bucket they drain, so their resolution tracks the mean
+	// burst, landing a few events per bucket, up to a wheel spanning two
+	// job-time spans.
 	span := p.JobTimeMean + 8*p.JobTimeStdDev + 1e-3
 	res := float64(buckets / 16)
-	if exact {
+	if mode != rankDrain {
 		res = math.Min(math.Max(p.BatchSize, buckets/16), buckets/2)
 	}
 	st.invW = res / span
@@ -226,11 +267,11 @@ func (st *runState) start(g *dag.Frozen, p Params, exact bool) {
 	st.maxIns = 0
 	st.cur = st.cur[:0]
 	st.ci = 0
-	if exact {
+	if mode != rankDrain && cap(st.cur) < n {
+		st.cur = make([]completion, 0, n)
+	}
+	if mode == exactDrain {
 		st.remaining = resize(st.remaining, n)
-		if cap(st.cur) < n {
-			st.cur = make([]completion, 0, n)
-		}
 		remaining := st.remaining
 		for v := range remaining {
 			remaining[v] = int32(g.InDegree(v))
@@ -238,7 +279,20 @@ func (st *runState) start(g *dag.Frozen, p Params, exact bool) {
 		return
 	}
 	copy(st.rem, st.initRem)
-	rank, nSources := st.rank, st.nSources
+	nSources := st.nSources
+	if mode == fifoDrain {
+		st.qbuf = resize(st.qbuf, n)
+		if uint(nSources) > uint(len(st.qbuf)) {
+			panic("sim: start: sources exceed the job count")
+		}
+		q := st.qbuf[:nSources]
+		for i := range q {
+			q[i] = int32(i)
+		}
+		st.queue = q
+		return
+	}
+	rank := st.rank
 	if nSources > len(rank) {
 		panic("sim: start: sources exceed rank table")
 	}
@@ -283,11 +337,11 @@ func (st *runState) insert(at float64, job int32) {
 
 // complete processes one set-mode completion: walk the children
 // sequentially in the relabeled CSR, decrement their remaining-parent
-// counters, and set the rank bit of every node whose last parent this
-// was.
+// counters, and release every node whose last parent this was — onto
+// the back of the FIFO queue, or as a rank bit.
 //
 // The cold guards up front replace the per-iteration implicit bounds
-// checks: a corrupt CSR (never built by build) panics once at entry,
+// checks: a corrupt CSR (never built by buildTopo) panics once at entry,
 // and past the guards every index in the walk is provably in-bounds —
 // children by ci < end <= len(children), rem by the per-child uint
 // guard, and rank by the reslice pinning len(rank) to len(rem).
@@ -308,7 +362,23 @@ func (st *runState) complete(job int32) {
 	if ci < 0 || end > len(children) {
 		panic("sim: complete: corrupt child CSR")
 	}
-	rem, rank := st.rem, st.rank
+	rem := st.rem
+	if st.mode == fifoDrain {
+		q := st.queue
+		for ; ci < end; ci++ {
+			c := int(children[ci])
+			if uint(c) >= uint(len(rem)) {
+				panic("sim: complete: child id out of range")
+			}
+			rem[c]--
+			if rem[c] == 0 {
+				q = append(q, int32(c))
+			}
+		}
+		st.queue = q
+		return
+	}
+	rank := st.rank
 	if len(rank) < len(rem) {
 		panic("sim: complete: rank table too short")
 	}
@@ -352,7 +422,9 @@ func (st *runState) nextOcc(s int) int {
 // the boundary complete without any comparison; the boundary bucket is
 // filtered by comparison and its survivors relinked. The boundary
 // bucket is always the last one visited: no event <= T can hide in a
-// later bucket.
+// later bucket. FIFO's windows go bucket by bucket through drainSorted
+// instead, since the order of its releases is the order of its pops; a
+// drain-all serves no further batch, so it skips the sort.
 //
 // The bucket chains walk with uint(i) < uint(len(events)) as the loop
 // condition: it folds the chain-end test (next == -1 wraps to a huge
@@ -367,6 +439,7 @@ func (st *runState) drain(T float64, all bool) int {
 	events := st.events
 	Tvi := int(T * st.invW)
 	vi := st.baseVi
+	sorted := st.mode == fifoDrain && !all
 	for st.live > 0 {
 		// Jump to the next occupied bucket; every live ring event is
 		// within one ring turn of the base.
@@ -375,7 +448,12 @@ func (st *runState) drain(T float64, all bool) int {
 			break
 		}
 		slot := vi & (buckets - 1)
-		if all || vi < Tvi {
+		if sorted {
+			done += st.drainSorted(slot, T)
+			if vi == Tvi {
+				break // the boundary bucket
+			}
+		} else if all || vi < Tvi {
 			// The whole bucket is inside the window.
 			for i := int(st.heads[slot]); uint(i) < uint(len(events)); i = int(events[i].next) {
 				st.complete(events[i].job)
@@ -416,36 +494,106 @@ func (st *runState) drain(T float64, all bool) int {
 	if st.overCnt > 0 {
 		// Set mode inserts only at a batch time, which is the base, and
 		// Box-Muller draws stay within 8.6 sigma, so a job time never
-		// reaches the horizon of 16*(JobTimeMean+8*JobTimeStdDev).
+		// reaches the horizon of at least 2*(JobTimeMean+8*JobTimeStdDev).
 		panic("sim: set-mode completion past the wheel horizon")
 	}
 	return done
 }
 
+// drainSorted completes the events of ring slot that are due by T in
+// the exact drain's (at, original id) order, relinks the rest, and
+// returns how many completed. FIFO's queue is its pop order, and a
+// completion appends its released children to the queue, so the
+// completions of a window must run in that order, where a rank policy
+// pops the same minimum whatever order its bits were set in. A bucket
+// holds a few events at FIFO's resolution, so the due ones are
+// insertion-sorted into cur, comparing original ids only on a tie in
+// time.
+//
+//prio:nobce
+func (st *runState) drainSorted(slot int, T float64) int {
+	s := uint(slot) & (buckets - 1)
+	events, topo := st.events, st.g.Topo() // relabeled id -> original id
+	due := st.cur[:0]
+	nh := int32(-1)
+	for i := int(st.heads[s]); uint(i) < uint(len(events)); {
+		ev := &events[i]
+		next := int(ev.next)
+		if ev.at <= T {
+			c := completion{at: ev.at, job: ev.job}
+			due = append(due, c) // cur holds n, a bucket at most n
+			for k := len(due) - 1; k > 0; k-- {
+				d := due[k-1]
+				if c.at > d.at || c.at == d.at && origAfter(topo, c.job, d.job) {
+					break
+				}
+				due[k], due[k-1] = d, c
+			}
+		} else {
+			ev.next = nh
+			nh = int32(i)
+		}
+		i = next
+	}
+	st.heads[s] = nh
+	if nh < 0 {
+		st.occ[(s>>6)&(buckets/64-1)] &^= 1 << (s & 63)
+	}
+	st.cur = due
+	for _, c := range due {
+		st.complete(c.job)
+	}
+	st.live -= len(due)
+	return len(due)
+}
+
+// origAfter reports whether relabeled job a comes after b in original
+// id order. A job is pending at most once, so a != b.
+//
+//prio:inline
+func origAfter(topo []int32, a, b int32) bool {
+	i, j := int(a), int(b)
+	if uint(i) >= uint(len(topo)) || uint(j) >= uint(len(topo)) {
+		panic("sim: drainSorted: job out of range")
+	}
+	return topo[i] > topo[j]
+}
+
 // assignBatch serves a set-mode batch of size requests arriving at
-// now: it pops the lowest eligible ranks and schedules each job's
-// completion, drawing job times in rank order. It returns how many
-// requests were filled.
+// now: it pops the front of the FIFO queue or the lowest eligible
+// ranks, and schedules each job's completion, drawing job times in pop
+// order. It returns how many requests were filled.
 //
 //prio:nobce
 func (st *runState) assignBatch(p *Params, src *rng.Source, now float64, size int) int {
-	jobOfRank := st.jobOfRank
+	fifo := st.mode == fifoDrain
+	q, jobOfRank := st.queue, st.jobOfRank
 	served := 0
 	for served < size {
-		r, ok := st.elig.PopMin()
-		if !ok {
-			break
-		}
-		if uint(r) >= uint(len(jobOfRank)) {
-			panic("sim: assignBatch: rank out of range")
+		var j int32
+		if fifo {
+			if len(q) == 0 {
+				break
+			}
+			j, q = q[0], q[1:]
+		} else {
+			r, ok := st.elig.PopMin()
+			if !ok {
+				break
+			}
+			if uint(r) >= uint(len(jobOfRank)) {
+				panic("sim: assignBatch: rank out of range")
+			}
+			j = jobOfRank[r]
 		}
 		served++
 		d := src.Normal(p.JobTimeMean, p.JobTimeStdDev)
 		if d < 1e-3 {
 			d = 1e-3 // a job cannot run backwards in time
 		}
-		st.insert(now+d, jobOfRank[r])
+		st.insert(now+d, j)
 	}
+	st.queue = q
 	return served
 }
 
@@ -595,7 +743,7 @@ func (r *Runner) Run(p Params, pol Policy, seed uint64) Metrics {
 // policy, and src; the loop allocates nothing once st's buffers have
 // grown to the dag's high-water mark.
 func (st *runState) run(g *dag.Frozen, p Params, pol Policy, src *rng.Source, obs Observer) Metrics {
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		panic(err)
 	}
 	n := g.NumNodes()
@@ -603,24 +751,33 @@ func (st *runState) run(g *dag.Frozen, p Params, pol Policy, src *rng.Source, ob
 		return Metrics{}
 	}
 
-	// Set mode needs a policy with set semantics (see staticRank) and a
-	// run that never branches on pop order; everything else drains in
-	// exact order.
+	// Set mode needs a policy whose pops the kernel can make itself —
+	// one with set semantics (see staticRank), or FIFO — and a run that
+	// never branches on pop order; everything else drains in exact
+	// order.
 	if pol != st.pol {
 		st.pol, st.setPol = pol, nil
+		_, st.fifo = pol.(*FIFO)
 		if sr, ok := pol.(staticRank); ok {
 			st.setPol = sr.setCore()
 		}
 	}
-	var o *Oblivious
+	mode := exactDrain
 	if obs == nil && p.FailureProb == 0 && !p.RolloverWorkers && len(p.JobMeans) == 0 {
-		o = st.setPol
+		if st.setPol != nil {
+			mode = rankDrain
+		} else if st.fifo {
+			mode = fifoDrain
+		}
 	}
-	exact := o == nil
-	if !exact && (st.owner != o || st.g != g) {
-		st.build(g, o)
+	exact := mode == exactDrain
+	if !exact && st.g != g {
+		st.buildTopo(g)
 	}
-	st.start(g, p, exact)
+	if mode == rankDrain && st.owner != st.setPol {
+		st.buildRank(st.setPol)
+	}
+	st.start(g, p, mode)
 	if exact {
 		pol.Start(g, src)
 		for _, v := range g.Sources() {

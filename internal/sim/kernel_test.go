@@ -91,25 +91,22 @@ func TestRunKernelZeroAllocs(t *testing.T) {
 // kernel on paper-scale dags across the batch regimes the grids sweep
 // — tiny interarrivals (many near-empty drain windows), balanced, and
 // huge batches (one window drains thousands of events) — for every
-// ranker family. The fuzz target covers the same equivalence on
-// arbitrary 8-node dags; this test covers real widths, where the
-// calendar's bucket walk, boundary filtering, and occupancy jumps
-// actually engage.
+// ranker family and FIFO. The fuzz target covers the same equivalence
+// on arbitrary 8-node dags; this test covers real widths, where the
+// calendar's bucket walk, boundary filtering, FIFO's per-bucket sort
+// and occupancy jumps actually engage.
 func TestFastPathMatchesOrdered(t *testing.T) {
 	for _, w := range []struct {
 		name string
 		g    *dag.Frozen
 	}{{"airsn", workloads.AIRSN(15)}, {"montage", workloads.Montage(20, 3)}} {
-		for _, name := range []string{"prio", "critpath", "heft", "graphene", "heft+outdeg"} {
+		for _, name := range []string{"prio", "critpath", "heft", "graphene", "heft+outdeg", "fifo"} {
 			factory, err := PolicyFactory(name, w.g)
 			if err != nil {
 				t.Fatal(err)
 			}
 			runner := NewRunner(w.g)
 			pol, refPol := factory(), factory()
-			if _, ok := pol.(*Oblivious); !ok {
-				t.Fatalf("%s: expected an Oblivious policy", name)
-			}
 			for _, p := range []Params{
 				DefaultParams(0.05, 0.5),
 				DefaultParams(0.05, 16),
@@ -119,6 +116,9 @@ func TestFastPathMatchesOrdered(t *testing.T) {
 			} {
 				for seed := uint64(1); seed <= 10; seed++ {
 					got := runner.Run(p, pol, seed)
+					if runner.st.mode == exactDrain {
+						t.Fatalf("%s: drained in exact mode, want set mode", name)
+					}
 					want := runOrdered(w.g, p, refPol, rng.New(seed), nil)
 					if got != want {
 						t.Fatalf("%s/%s bit=%g bs=%g seed %d:\n kernel    %+v\n reference %+v",
@@ -173,6 +173,60 @@ func TestFastPathRankerCensus(t *testing.T) {
 	}
 }
 
+// TestDrainModeCensus pins which replications drain in set mode, the
+// kernel's fast path, so losing it fails here without any timing: the
+// rank policies and FIFO at the paper's parameters must, and FIFO with
+// failures, rollover, per-job means or an observer, RANDOM and the
+// maxjobs throttle must drain in exact mode. Each row also matches the
+// reference kernel.
+func TestDrainModeCensus(t *testing.T) {
+	g := workloads.AIRSN(15)
+	base := DefaultParams(1, 8)
+	fail := base
+	fail.FailureProb = 0.1
+	roll := base
+	roll.RolloverWorkers = true
+	means := base
+	means.JobMeans = make([]float64, g.NumNodes())
+	for v := range means.JobMeans {
+		means.JobMeans[v] = 1
+	}
+	for _, tc := range []struct {
+		name, pol string
+		p         Params
+		observed  bool
+		want      drainMode
+	}{
+		{"prio", "prio", base, false, rankDrain},
+		{"heft", "heft", base, false, rankDrain},
+		{"fifo", "fifo", base, false, fifoDrain},
+		{"fifo/failures", "fifo", fail, false, exactDrain},
+		{"fifo/rollover", "fifo", roll, false, exactDrain},
+		{"fifo/job-means", "fifo", means, false, exactDrain},
+		{"fifo/observer", "fifo", base, true, exactDrain},
+		{"prio/observer", "prio", base, true, exactDrain},
+		{"random", "random", base, false, exactDrain},
+		{"prio-maxjobs", "prio-maxjobs=4", base, false, exactDrain},
+	} {
+		factory, err := PolicyFactory(tc.pol, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var obs Observer
+		if tc.observed {
+			obs = &recorder{}
+		}
+		var st runState
+		got := st.run(g, tc.p, factory(), rng.New(3), obs)
+		if st.mode != tc.want {
+			t.Errorf("%s: drain mode %d, want %d", tc.name, st.mode, tc.want)
+		}
+		if want := runOrdered(g, tc.p, factory(), rng.New(3), nil); got != want {
+			t.Errorf("%s:\n kernel    %+v\n reference %+v", tc.name, got, want)
+		}
+	}
+}
+
 // kernelPolicies names one policy per Policy implementation Runner.Run
 // can dispatch to: Oblivious (from two ranker families, prio and heft),
 // FIFO, Random, and TwoLevel.
@@ -192,8 +246,15 @@ type kernelRegime struct {
 // kernelRegimes builds the drain regimes the kernel tests sweep, and
 // fails t if one of them stops reaching the branch it is named for:
 //
-//   - the default parameters: set mode for the static-rank policies,
-//     exact mode for the rest;
+//   - the default parameters: set mode for the static-rank policies
+//     and FIFO, exact mode for the rest;
+//   - a job-time spread of 3 around a mean of 1: the 1e-3 floor clamps
+//     about a third of the draws, so jobs of one batch complete at the
+//     same instant and the drains order ties by job id. The dag is a
+//     random layered one, whose jobs are not interchangeable the way
+//     AIRSN's identical chains are, declared in a shuffled order so
+//     that FIFO's relabeled ids order ties differently from the
+//     original ids;
 //   - rollover with JobTimeMean 100 and a wide job-time spread: a bucket
 //     is ~1.8 time units wide, far above the 1e-3 job-time floor, so
 //     rolled-over workers handed jobs whose draw was clamped schedule
@@ -237,13 +298,42 @@ func kernelRegimes(t testing.TB) []kernelRegime {
 	failRoll.FailureProb = 0.2
 	failRoll.RolloverWorkers = true
 
+	shuffled := shuffledDag(workloads.Layered(rng.New(1), 10, 12, 0.2), 1)
+	ties := DefaultParams(1, 8)
+	ties.JobTimeStdDev = 3
+	rec := &recorder{}
+	RunObserved(shuffled, ties, NewFIFO(), rng.New(1), rec)
+	if rec.ties == 0 {
+		t.Fatalf("job-time spread %g: no two completions tie", ties.JobTimeStdDev)
+	}
+
 	return []kernelRegime{
 		{"default", airsn, []Params{DefaultParams(1, 8)}},
+		{"ties", shuffled, []Params{ties}},
 		{"rollover-wide-buckets", montage, []Params{slow, slowNarrow}},
 		{"job-means-overflow", airsn, []Params{spread, spreadRoll}},
 		{"failures", airsn, []Params{fail, failBig}},
 		{"failures-rollover", airsn, []Params{failRoll}},
 	}
+}
+
+// shuffledDag returns g with its jobs declared in a seeded random
+// order, each job's arcs declared with it.
+func shuffledDag(g *dag.Frozen, seed uint64) *dag.Frozen {
+	n := g.NumNodes()
+	perm := rng.New(seed).Perm(n)
+	pos := make([]int, n)
+	b := dag.NewWithCapacity(n)
+	for i, old := range perm {
+		pos[old] = i
+		b.AddNode(g.Name(old))
+	}
+	for _, old := range perm {
+		for _, c := range g.Children(old) {
+			b.MustAddArc(pos[old], pos[c])
+		}
+	}
+	return b.MustFreeze()
 }
 
 // TestExactOrderEdgeCases pins the kernel to the reference kernel in
@@ -275,25 +365,36 @@ func TestExactOrderEdgeCases(t *testing.T) {
 // bucketsPerUnit is the wheel resolution the kernel picks for p.
 func bucketsPerUnit(p Params) float64 {
 	var st runState
-	st.start(independentDag(1), p, true)
+	st.start(independentDag(1), p, exactDrain)
 	return st.invW
 }
 
-// recorder is an Observer that keeps every callback time.
+// recorder is an Observer that keeps every callback time and counts
+// completions, and those at the same time as the one before.
 type recorder struct {
 	times []float64
 	count int
+	ties  int
+	last  float64
 }
 
 func (r *recorder) BatchArrived(at float64, size, served int) { r.times = append(r.times, at) }
 func (r *recorder) Assigned(at float64, job int)              { r.times = append(r.times, at) }
-func (r *recorder) Completed(at float64, job int)             { r.times = append(r.times, at); r.count++ }
 func (r *recorder) Failed(at float64, job int)                { r.times = append(r.times, at) }
+
+func (r *recorder) Completed(at float64, job int) {
+	r.times = append(r.times, at)
+	if r.count > 0 && at == r.last {
+		r.ties++
+	}
+	r.count++
+	r.last = at
+}
 
 // TestObserverMatchesRunner pins dagsim -trace to the figures: an
 // observed run drains in exact mode while Runner.Run drains oblivious
-// policies in set mode, and both must give bit-identical metrics at the
-// same seed. Without failures the observer must also see time move
+// policies and FIFO in set mode, and both must give bit-identical
+// metrics at the same seed. Without failures the observer must also see time move
 // forward only; a failure can reopen assignment at a batch time the
 // drain has already passed, so failure runs check metrics alone.
 func TestObserverMatchesRunner(t *testing.T) {
@@ -347,15 +448,16 @@ func TestFastCalendar(t *testing.T) {
 	o := NewOblivious("ID", []int{0, 1, 2, 3})
 
 	var st runState
-	st.build(g, o)
+	st.buildTopo(g)
+	st.buildRank(o)
 	for _, p := range []Params{DefaultParams(1, 8), {JobTimeMean: 1e-3, JobTimeStdDev: 50}, {JobTimeMean: 100}} {
-		st.start(g, p, false)
+		st.start(g, p, rankDrain)
 		if maxD := p.JobTimeMean + 8.6*p.JobTimeStdDev + 1e-3; maxD*st.invW+1 >= buckets {
 			t.Fatalf("%+v: a %g job time spans %g buckets, past the set-mode horizon", p, maxD, maxD*st.invW)
 		}
 	}
 
-	st.start(g, DefaultParams(1, 8), false) // span ≈ 1.8, invW ≈ 284 buckets/unit
+	st.start(g, DefaultParams(1, 8), rankDrain) // span ≈ 1.8, invW ≈ 284 buckets/unit
 	// Two events inside the first window, two past it.
 	st.insert(0.5, 0)
 	st.insert(1.0, 1)
@@ -385,7 +487,7 @@ func TestFastCalendar(t *testing.T) {
 	}
 
 	// A second start on the same state must fully reset the calendar.
-	st.start(g, DefaultParams(1, 8), false)
+	st.start(g, DefaultParams(1, 8), rankDrain)
 	if st.live != 0 || st.overCnt != 0 || st.maxIns != 0 {
 		t.Fatalf("start did not reset: live=%d over=%d maxIns=%g", st.live, st.overCnt, st.maxIns)
 	}
@@ -404,7 +506,7 @@ func TestFastCalendar(t *testing.T) {
 func TestExactCalendar(t *testing.T) {
 	r := rng.New(5)
 	var st runState
-	st.start(independentDag(16), DefaultParams(1, 8), true)
+	st.start(independentDag(16), DefaultParams(1, 8), exactDrain)
 	var live []completion
 	job := int32(0)
 	T := 0.0
@@ -491,7 +593,7 @@ func TestKernelCSRViews(t *testing.T) {
 	}
 	// An exact-mode start fills remaining from the precomputed indegrees.
 	var st runState
-	st.start(g, DefaultParams(1, 8), true)
+	st.start(g, DefaultParams(1, 8), exactDrain)
 	for v := 0; v < n; v++ {
 		if int(st.remaining[v]) != g.InDegree(v) {
 			t.Fatalf("node %d remaining %d, want indegree %d", v, st.remaining[v], g.InDegree(v))

@@ -55,7 +55,33 @@ func DefaultParams(muBIT, muBS float64) Params {
 	}
 }
 
-func (p Params) validate() error {
+// Validate reports the first way p falls outside the model. Every
+// float field and every JobMeans entry must be finite: NaN passes every
+// comparison below, an infinite interarrival or job time never lets
+// the simulated clock finish, and a NaN or infinite batch size
+// silently discretizes to batches of 1. Run panics on params Validate
+// rejects; the CLIs and priod call it first, to refuse such input
+// before any replication starts.
+func (p Params) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"BatchInterarrival", p.BatchInterarrival},
+		{"BatchSize", p.BatchSize},
+		{"JobTimeMean", p.JobTimeMean},
+		{"JobTimeStdDev", p.JobTimeStdDev},
+		{"FailureProb", p.FailureProb},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("sim: %s %v is not finite", f.name, f.v)
+		}
+	}
+	for v, m := range p.JobMeans {
+		if math.IsNaN(m) || math.IsInf(m, 0) {
+			return fmt.Errorf("sim: JobMeans[%d] %v is not finite", v, m)
+		}
+	}
 	if p.BatchInterarrival <= 0 {
 		return fmt.Errorf("sim: BatchInterarrival %v <= 0", p.BatchInterarrival)
 	}

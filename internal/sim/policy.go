@@ -17,7 +17,8 @@ import (
 // with eligibility kept in the kernel's own bitset. The capability, not
 // the concrete type, is what the kernel tests for, so every ranker
 // family internal/rank produces (and any wrapper embedding *Oblivious)
-// inherits set mode.
+// inherits set mode. (FIFO, the one other policy set mode serves, is
+// not a set; the kernel recognises it by its concrete type.)
 //
 // Embedding *Oblivious promotes both methods, and doing so is a
 // semantic claim: the embedder must not change assignment behaviour
@@ -104,6 +105,12 @@ func (o *Oblivious) Next() (int, bool) {
 
 // FIFO is DAGMan's regimen: eligible jobs queue in the order they became
 // eligible and are assigned from the front.
+//
+// Its pops are a function of the completion order alone, so where set
+// mode applies (no failures, rollover, per-job means or observer) the
+// kernel recognises *FIFO by its concrete type and replays the same
+// queue itself, in its topo-relabeled id space, without calling these
+// methods (kernel.go). They serve exact mode, and are its reference.
 type FIFO struct {
 	queue []int
 	head  int

@@ -238,7 +238,7 @@ func (q *eventQueue) pop() (float64, int32) {
 // through its Policy methods in original id space. It must agree bit
 // for bit with the kernel in both drain modes.
 func runOrdered(g *dag.Frozen, p Params, pol Policy, src *rng.Source, obs Observer) Metrics {
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		panic(err)
 	}
 	n := g.NumNodes()

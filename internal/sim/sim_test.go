@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -337,5 +338,55 @@ func BenchmarkRunAIRSN(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Run(g, p, NewOblivious("PRIO", order), rng.New(uint64(i)))
+	}
+}
+
+// TestParamsValidate is the table behind Validate's domain: the
+// paper's parameters and the model's edge values pass; every
+// non-finite float field or JobMeans entry, and every value outside a
+// field's range, is refused with an error that names the field. On a
+// kernel that accepts them, NaN or infinite interarrivals and job times
+// never finish, and a NaN standard deviation returns a NaN execution
+// time.
+func TestParamsValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	ok := DefaultParams(1, 16)
+	for _, tc := range []struct {
+		name  string
+		edit  func(*Params)
+		field string // "" when p is valid
+	}{
+		{"paper", func(*Params) {}, ""},
+		{"zero stddev", func(p *Params) { p.JobTimeStdDev = 0 }, ""},
+		{"failures", func(p *Params) { p.FailureProb = 0.99 }, ""},
+		{"finite job means", func(p *Params) { p.JobMeans = []float64{1, -2, 3e300} }, ""},
+		{"NaN interarrival", func(p *Params) { p.BatchInterarrival = nan }, "BatchInterarrival"},
+		{"+Inf interarrival", func(p *Params) { p.BatchInterarrival = inf }, "BatchInterarrival"},
+		{"zero interarrival", func(p *Params) { p.BatchInterarrival = 0 }, "BatchInterarrival"},
+		{"NaN batch size", func(p *Params) { p.BatchSize = nan }, "BatchSize"},
+		{"+Inf batch size", func(p *Params) { p.BatchSize = inf }, "BatchSize"},
+		{"negative batch size", func(p *Params) { p.BatchSize = -1 }, "BatchSize"},
+		{"NaN job mean", func(p *Params) { p.JobTimeMean = nan }, "JobTimeMean"},
+		{"+Inf job mean", func(p *Params) { p.JobTimeMean = inf }, "JobTimeMean"},
+		{"NaN stddev", func(p *Params) { p.JobTimeStdDev = nan }, "JobTimeStdDev"},
+		{"+Inf stddev", func(p *Params) { p.JobTimeStdDev = inf }, "JobTimeStdDev"},
+		{"negative stddev", func(p *Params) { p.JobTimeStdDev = -0.1 }, "JobTimeStdDev"},
+		{"NaN failure", func(p *Params) { p.FailureProb = nan }, "FailureProb"},
+		{"-Inf failure", func(p *Params) { p.FailureProb = math.Inf(-1) }, "FailureProb"},
+		{"certain failure", func(p *Params) { p.FailureProb = 1 }, "FailureProb"},
+		{"NaN job means entry", func(p *Params) { p.JobMeans = []float64{1, nan} }, "JobMeans[1]"},
+		{"-Inf job means entry", func(p *Params) { p.JobMeans = []float64{math.Inf(-1)} }, "JobMeans[0]"},
+	} {
+		p := ok
+		tc.edit(&p)
+		err := p.Validate()
+		switch {
+		case tc.field == "" && err != nil:
+			t.Errorf("%s: Validate() = %v, want nil", tc.name, err)
+		case tc.field != "" && err == nil:
+			t.Errorf("%s: Validate() = nil, want an error naming %s", tc.name, tc.field)
+		case tc.field != "" && !strings.Contains(err.Error(), tc.field+" "):
+			t.Errorf("%s: Validate() = %q, want it to name %s", tc.name, err, tc.field)
+		}
 	}
 }
