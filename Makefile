@@ -31,13 +31,15 @@ check: lint
 check-race:
 	$(GO) test -race ./...
 
-# The determinism/concurrency/compiler-fact analyzers (see
+# The error-propagation/purity/lock-order/compiler-fact analyzers (see
 # internal/analysis). Run over ./... so the interprocedural analyzers
 # see every implementation; spot-checking one package weakens purity
 # and nestedlock to intra-package claims. The kernel's zero-alloc
 # contract is not linted: TestRunKernelZeroAllocs measures it. Nor are
 # the serving layer's goroutine joins, cancellation and response
-# determinism: runtime tests check them (see internal/analysis/doc.go).
+# determinism, map-order determinism, seeded randomness or the
+# `// guarded by` fields: the goldens, determinism and order tests and
+# check-race catch them (see internal/analysis/doc.go).
 lint:
 	$(GO) run ./cmd/priolint ./...
 
@@ -151,7 +153,8 @@ fuzz:
 
 # Short fuzz pass for CI: 10s per target on the invariants that matter
 # most (parser round-trip, the parser against its reference oracle,
-# instrumentation rewrite safety, schedule validity/determinism,
+# instrumentation rewrite safety, the in-place submit-file (JSDF)
+# rewrite `prio -submit` does, schedule validity/determinism,
 # pooled-kernel equivalence, Normal against its math.Cos reference,
 # response determinism and well-formedness
 # through the real mux, and Divide's shortcut search and general round
@@ -160,6 +163,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dagman -run xxx -fuzz FuzzParseDAGMan -fuzztime 10s
 	$(GO) test ./internal/dagman -run xxx -fuzz 'FuzzParseOracle$$' -fuzztime 10s
 	$(GO) test ./internal/dagman -run xxx -fuzz 'FuzzInstrument$$' -fuzztime 10s
+	$(GO) test ./internal/dagman -run xxx -fuzz 'FuzzParseSubmit$$' -fuzztime 10s
 	$(GO) test ./internal/core -run xxx -fuzz FuzzSchedule -fuzztime 10s
 	$(GO) test ./internal/sim -run xxx -fuzz FuzzKernelReplication -fuzztime 10s
 	$(GO) test ./internal/rng -run xxx -fuzz FuzzNormal -fuzztime 10s

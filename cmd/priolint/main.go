@@ -47,12 +47,9 @@ import (
 	"repro/internal/analysis/facts"
 	"repro/internal/analysis/inline"
 	"repro/internal/analysis/load"
-	"repro/internal/analysis/lockedfield"
-	"repro/internal/analysis/mapiterorder"
 	"repro/internal/analysis/nestedlock"
 	"repro/internal/analysis/pragmacheck"
 	"repro/internal/analysis/purity"
-	"repro/internal/analysis/rngsource"
 )
 
 // suite is every analyzer priolint knows, in reporting order.
@@ -60,12 +57,9 @@ var suite = []*analysis.Analyzer{
 	bce.Analyzer,
 	errpropagation.Analyzer,
 	inline.Analyzer,
-	lockedfield.Analyzer,
-	mapiterorder.Analyzer,
 	nestedlock.Analyzer,
 	pragmacheck.Analyzer,
 	purity.Analyzer,
-	rngsource.Analyzer,
 }
 
 func main() {

@@ -1,30 +1,21 @@
 // Package bad is a fixture for the priolint driver test: it contains
-// exactly one violation per analyzer that can manifest in a
+// one violation each for two package analyzers that can manifest in a
 // self-contained package.
 package bad
 
 import (
-	"fmt"
-	"math/rand"
+	"os"
+	"time"
 )
 
-// Keys is nondeterministic: classic mapiterorder violation.
-func Keys(m map[string]int) []string {
-	var keys []string
-	for k := range m {
-		keys = append(keys, k)
-	}
-	return keys
+// Clean drops the error of os.Remove: errpropagation violation.
+func Clean(path string) {
+	os.Remove(path)
 }
 
-// Roll uses the process-global generator: rngsource violation.
-func Roll() int {
-	return rand.Intn(6)
-}
-
-// Print prints in map order: a second mapiterorder violation.
-func Print(m map[string]int) {
-	for k, v := range m {
-		fmt.Println(k, v)
-	}
+// Stamp is annotated pure but reads the clock: purity violation.
+//
+//prio:pure
+func Stamp() int64 {
+	return time.Now().UnixNano()
 }

@@ -8,7 +8,7 @@ import (
 	"repro/internal/dagman"
 )
 
-// Regression test for a mapiterorder fix: submit files used to be
+// Regression test for a map-order fix: submit files used to be
 // written by ranging over a dedup map, so creation and instrumentation
 // order varied between runs. submitFiles must return the distinct
 // names sorted.

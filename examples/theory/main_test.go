@@ -2,7 +2,7 @@ package main
 
 import "testing"
 
-// Regression test for a mapiterorder fix: the Fig. 2 block report used
+// Regression test for a map-order fix: the Fig. 2 block report used
 // to range over a map, so its line order varied between runs. The
 // blocks must come back in the fixed declaration order every time.
 func TestFig2BlocksDeterministicOrder(t *testing.T) {

@@ -96,40 +96,6 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 	return p.TypesInfo.Uses[id]
 }
 
-// WithStack walks the AST under root in depth-first order, calling fn
-// with each node and the stack of its ancestors (outermost first, not
-// including n itself). Returning false prunes the subtree, exactly like
-// ast.Inspect.
-func WithStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if !fn(n, stack) {
-			return false
-		}
-		stack = append(stack, n)
-		return true
-	})
-}
-
-// EnclosingFunc returns the innermost function declaration or literal
-// in stack, and its body. ok is false at package scope (e.g. inside a
-// var initializer).
-func EnclosingFunc(stack []ast.Node) (node ast.Node, body *ast.BlockStmt, ok bool) {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch f := stack[i].(type) {
-		case *ast.FuncDecl:
-			return f, f.Body, true
-		case *ast.FuncLit:
-			return f, f.Body, true
-		}
-	}
-	return nil, nil, false
-}
-
 // Callee resolves the called object of a call expression: the
 // *types.Func for a static call or method call, or nil for calls
 // through function values, type conversions, and builtins.
@@ -145,12 +111,4 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
-}
-
-// IsPkgFunc reports whether call statically invokes the package-level
-// function pkgPath.name.
-func IsPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	fn := Callee(info, call)
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath &&
-		fn.Name() == name && fn.Type().(*types.Signature).Recv() == nil
 }

@@ -343,21 +343,10 @@ func (f *Facts) BoundsIn(file string, startLine, startCol, endLine, endCol int) 
 	return out
 }
 
-// InlinedAt reports whether the compiler inlined a call at the given
-// line of file (inline notes land on the call's opening parenthesis,
-// which shares a line with the call expression in gofmt'ed source),
-// and the callee name it reported.
-func (f *Facts) InlinedAt(file string, line int) (string, bool) {
-	for pos, callee := range f.InlinedCalls {
-		if pos.File == file && pos.Line == line {
-			return callee, true
-		}
-	}
-	return "", false
-}
-
 // InlinedCallsOn returns the reported callee names of every call the
-// compiler inlined on the given line of file. Distinct calls on one
+// compiler inlined on the given line of file (inline notes land on the
+// call's opening parenthesis, which shares a line with the call
+// expression in gofmt'ed source), sorted. Distinct calls on one
 // line have distinct columns, so a caller matching a specific callee
 // must scan the whole slice, not stop at the first note.
 func (f *Facts) InlinedCallsOn(file string, line int) []string {

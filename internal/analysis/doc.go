@@ -1,6 +1,6 @@
 // Package analysis hosts priolint, the static-analysis suite that
-// mechanically enforces the scheduler's determinism and concurrency
-// invariants. It is a minimal re-implementation of the
+// mechanically enforces the scheduler's invariants that its runtime
+// tests cannot see. It is a minimal re-implementation of the
 // golang.org/x/tools/go/analysis vocabulary (Analyzer, Pass,
 // Diagnostic) on top of the standard library's go/ast and go/types —
 // the build environment has no module proxy access, so x/tools cannot
@@ -38,48 +38,12 @@
 // nondeterminism in our pipeline would silently invalidate reproduced
 // numbers. These invariants are global properties that one more code
 // review can quietly lose; the analyzers below make them mechanical.
+// An analyzer stays only while it catches something no runtime test
+// does: where the goldens, the determinism tests or the race detector
+// catch every violation an analyzer targeted, the analyzer was deleted
+// (the census sections below).
 //
 // # The invariants and their annotations
-//
-// Determinism (analyzer mapiterorder). Go map iteration order is
-// deliberately randomized, so a `for range` over a map must not have an
-// order-dependent effect: appending to a slice that is not subsequently
-// sorted, writing to an io.Writer / strings.Builder / file, or sending
-// on a channel. The blessed idiom is to collect the keys, sort them,
-// and range over the sorted slice — the analyzer recognizes a sort of
-// the accumulated slice later in the same function (any callee whose
-// name contains "sort" taking the slice as an argument) and stays
-// quiet. Order-independent bodies (counting, building another map,
-// reductions like min/max over values) are never flagged.
-//
-// Lock discipline (analyzer lockedfield). A struct field that is shared
-// by concurrent callers carries a declaration-site annotation naming
-// the mutex that guards it:
-//
-//	type Cache struct {
-//		mu      sync.RWMutex
-//		entries map[string]*cacheEntry // guarded by mu
-//	}
-//
-// Every selector access to an annotated field must occur in a function
-// that (a) locks that mutex (calls <anything>.mu.Lock or .RLock
-// somewhere in its body, including an enclosing function of a literal),
-// (b) is named with the conventional "...Locked" suffix meaning the
-// caller holds the lock, or (c) is a constructor — a receiver-less
-// function returning the struct type, where the value is not yet
-// shared. Composite-literal initialization is inherently exempt (it is
-// not a selector access). The check is lexical, not a may-happen-in-
-// parallel analysis: it enforces the documentation convention, which is
-// exactly what reviews kept getting wrong.
-//
-// RNG policy (analyzer rngsource). Simulator runs must be replayable:
-// all randomness flows from repro/internal/rng sources seeded by the
-// experiment driver. The process-global math/rand functions (rand.Intn,
-// rand.Shuffle, rand.Seed, ...) are forbidden everywhere outside
-// internal/rng, in tests too — constructing a private generator with
-// rand.New(rand.NewSource(seed)) remains allowed as long as the seed
-// does not come from time.Now, which the analyzer flags in any seeding
-// expression (math/rand, math/rand/v2, or rng.New).
 //
 // Purity (analyzer purity). A function annotated //prio:pure — the
 // Prioritize entry points of core, and the exported surface of
@@ -150,6 +114,122 @@
 // the reason nestedlock, and with it callgraph, RunProgram and
 // -debug-callgraph, stays; CI's nestedlockclean probe pins it.
 //
+// # Map order, seeds and guarded fields are tested, not proved
+//
+// Three more analyzers guarded the replay contract: rngsource (no
+// process-global math/rand, no generator seeded from time.Now),
+// mapiterorder (no order-dependent effect inside a range over a map)
+// and lockedfield (a field commented "// guarded by mu" is touched only
+// where mu is held). They were deleted after the same census: at each
+// site TestContractCensus counted for them (4 generator seeds, 15 map
+// ranges, 11 guarded fields), the violation was injected into a copy
+// without the analyzer, and go test ./... ("test" below) was run, or
+// go test -race as make check-race runs it ("race") for the lock rows.
+// Every red map-order and lock row was then run 20 more times, each
+// lock row as 20 processes since the race detector reports a race once
+// per process, and failed all 20.
+//
+//	site                              mutation                 red test (gate)
+//	rng.Source.Split                  seed from time.Now or    TestEngineMatchesPreEngineGolden and 9 more in
+//	                                  from global rand         sim and cmd/simgrid (test)
+//	cmd/dagsim run                    same                     TestRunDeterministic (test)
+//	sim.CompareGridResume             same                     TestEngineMatchesPreEngineGolden and 9 more (test)
+//	sim.NewRunner                     same                     none: neutral, Run reseeds before any draw
+//	sim.Runner.Run's Reseed(seed)     reseed from time.Now     TestRunnerMatchesRun, the engine golden (test)
+//	sim.Random.Next's src.Intn        global rand.Intn         TestRandomPolicyAssignsAllJobs, the golden (test)
+//	load.ExportImporterFor            drop the sort            none: neutral, go list's output lands in a map
+//	compilerfact.Run (f.Bounds)       key to os.Stderr         none: outside the contract (below)
+//	compilerfact.InlinedAt            -                        deleted: it had no caller outside a test
+//	compilerfact.InlinedCallsOn       drop the sort            none: neutral, inline only tests membership
+//	analysistest.runOne               drop the sort            none: orders a failing fixture's messages only
+//	nestedlock.run, order edges       drop successor sort      TestNestedLockCycleChoiceDeterministic (test)
+//	nestedlock.run, lock list         drop the sort            none: neutral, a cycle is reported from its
+//	                                                           smallest lock whatever the start order
+//	nestedlock.acquiresOf (union)     key to os.Stderr         none: outside the contract
+//	pragmacheck.knownList             drop the sort            TestKnownListSorted (test)
+//	icopt.AdmitsICOptimalSchedule     key to os.Stderr         purity in make lint: it is //prio:pure
+//	core.TheoreticalSchedule          key to os.Stderr         none: outside the contract
+//	dagman.File.Instrument            drop the sort            TestInstrumentUnknownJobAppended (test)
+//	rank.Components                   drop the sort            TestRegistries (test)
+//	serve.tenantCaches.get            drop the sort            none: neutral, lastUse is unique, so the
+//	                                                           least-recently-used tenant is order-free
+//	serve.tenantCaches.snapshot       key to os.Stderr         none: outside the contract
+//	dag.ReduceCache, entries read     drop Lock/Unlock         TestTransitiveReductionCachedConcurrent (race)
+//	dag.ReduceCache, entries write    drop Lock/Unlock         TestTransitiveReductionCachedConcurrent (race)
+//	core.Cache.Stats (entries)        drop RLock/RUnlock       TestCacheStatsWhileStoring (race)
+//	core.Cache.lookup (entries)       drop RLock/RUnlock       TestCacheConcurrentPrioritize (race)
+//	core.Cache.store (entries)        drop Lock/Unlock         TestCacheConcurrentPrioritize (race)
+//	serve.latencyWindow.observe       drop Lock/Unlock         TestPrioritizeResponseDeterministic (race)
+//	  (samples, next, count, sum, max)
+//	serve.latencyWindow.snapshot      drop Lock/Unlock         TestPrioritizeResponseDeterministic (race)
+//	serve.tenantCaches.get (clock,    drop Lock/Unlock         TestTenantSnapshotWhileGetting (race)
+//	  entries, cache, lastUse)
+//	serve.tenantCaches.snapshot       drop Lock/Unlock         TestTenantSnapshotWhileGetting (race)
+//
+// Before the census, six of these were not red on every run, and the
+// analyzer was their only sure guard: the dropped successor sort in
+// nestedlock, whose reported cycle then depends on map order; the
+// dropped sorts in knownList, Instrument and Components, which the old
+// tests caught in some runs or none; and the unlocked Cache.Stats and
+// tenantCaches.snapshot, which no test ran beside a writer. Each got
+// the narrowest test that fails on every run: a fixture or call
+// repeated until a chance pass is out of reach, or two goroutines that
+// share nothing but the lock's owner. Outside the contract: five ranges have
+// order-independent bodies (a per-value sort, a set union, an
+// existential test, integer sums) and no output of their own, so the
+// only order-dependent effect they admit is a new write, injected as a
+// line on the process's stderr. The replay contract covers schedules,
+// instrumented files, simulator metrics and tables, priolint's findings
+// and priod's responses; stderr carries timings and logs.
+//
+// # Error propagation keeps its analyzer
+//
+// errpropagation was scored the same way: each of the 83 calls
+// TestContractCensus counted had its error replaced by nil (the value
+// kept, the error dropped), and go test ./... was run. Ten are
+// deferred calls, exempt by rule. These 18 go red, and so does the
+// 84th, cli.LoadDag's Flatten, added with the census:
+//
+//	cli.LoadDag: Flatten                              TestLoadDagSplice
+//	cmd/prio prioritizeFile: ParseFile, Graph         TestRunErrors
+//	cmd/prio prioritizeFile: WriteInstrumented        TestRunFailedWriteLeavesInputs
+//	cmd/prio instrumentSubmitFiles: ParseSubmitFile   TestRunErrors
+//	cli.LoadDag: ParseFile, Graph                     TestLoadDagErrors
+//	dagman Parse, ParseFile: parseFrom                TestParseErrors; TestRunErrors
+//	dagman parseFrom: parse; parse: addLine           TestParseErrors
+//	dagman addLine: parseSplice                       TestSpliceParseErrors
+//	dagman WriteInstrumented: instrument              TestWriteInstrumentedMatchesInstrumentIDs
+//	dagman instrument: the second copySpan            TestWriteInstrumentedMatchesInstrumentIDs
+//	dagman Flatten, flatten: flatten; flatten: Graph  TestFlattenCycleDetected, TestFlattenCyclicInnerDag
+//	serve readDag: Parse, Graph                       TestPrioritizeErrorPaths
+//
+// These 45 go red nowhere; errpropagation flags each, and they are the
+// mutations only it catches:
+//
+//	cmd/prio replaceFile        os.Stat, os.CreateTemp, Sync, Close, os.Rename, os.Remove
+//	cmd/prio createFile         os.OpenFile, Close
+//	cmd/prio sameFile, run      os.Stat twice; os.WriteFile
+//	cmd/benchjson               os.Open in assertNsTrend, assertAllocsBaseline and run; os.Create
+//	cmd/priolint relPath        os.Getwd
+//	cmd/prioload run, drive     Close of the server and of a response body
+//	examples/dagmanfile main    os.MkdirTemp, os.WriteFile (4), dagman.ParseFile,
+//	                            dagman.ParseSubmitFile, os.ReadFile (2)
+//	examples/quickstart main    dagman.Parse, dagman.ParseSubmit
+//	analysis load, compilerfact os.Open; os.MkdirTemp, os.Getwd; os.ReadDir in analysistest
+//	dagman                      ParseFile's os.Open, instrument's first copySpan, FromGraph's
+//	                            Parse, flatten's Parse, LoadSplice's ParseFile,
+//	                            ParseSubmitFile's os.Open and ParseSubmit
+//	serve readRSS               os.ReadFile
+//	sim manifest                OpenManifest's os.OpenFile and Close, init's os.ReadFile,
+//	                            GridManifest.Close's Close
+//
+// The remaining 10 go red nowhere and errpropagation does not flag them
+// either, because it watches a method only when it is named Close,
+// Flush or Sync: cmd/prio prioritizeFile's Flatten, the Graph calls of
+// the two examples, dagman instrumented's instrument, ParseFile's Stat,
+// replaceFile's Chmod, and the sim manifest's Truncate, Seek and two
+// Writes. They have no guard.
+//
 // # The compiler-fact proofs
 //
 // The analyzers above prove properties of the source as the tree
@@ -196,9 +276,10 @@
 // keeps the suite honest: every recognized pragma must annotate at
 // least one non-test function, the site the documentation names
 // (core.Prioritize) must carry its pragma, and every analyzer without a
-// pragma must show a non-empty scope on the tree — a "// guarded by"
-// field for lockedfield, a mutex acquisition for nestedlock. A new
-// analyzer with no binding site fails the test until it gets one.
+// pragma must show a non-empty scope on the tree — a mutex
+// acquisition for nestedlock, an error-returning call into dagman or os
+// for errpropagation. A new analyzer with no binding site fails the
+// test until it gets one.
 //
 // # Zero allocation is measured, not proved
 //
@@ -240,7 +321,7 @@
 // # Running
 //
 //	go run ./cmd/priolint ./...        # what make check and CI run
-//	go run ./cmd/priolint -only mapiterorder,rngsource ./internal/sim
+//	go run ./cmd/priolint -only errpropagation,purity ./internal/dagman
 //	go run ./cmd/priolint -format json ./...   # machine-readable findings
 //	go run ./cmd/priolint -debug-callgraph ./internal/sim  # dump call edges
 //

@@ -273,7 +273,7 @@ func ExportImporterFor(fset *token.FileSet, imports map[string]bool) (types.Impo
 	for p := range imports {
 		paths = append(paths, p)
 	}
-	sort.Strings(paths) // deterministic subprocess invocation (and mapiterorder-clean)
+	sort.Strings(paths) // deterministic subprocess invocation
 	exports := make(map[string]string)
 	if len(paths) > 0 {
 		args := append([]string{"list", "-export", "-deps", "-json"}, paths...)

@@ -6,9 +6,8 @@
 // The analyzer identifies locks semantically — any value whose
 // Lock/RLock/Unlock/RUnlock methods resolve to package sync — and
 // abstracts each by its declaration: all instances of one mutex field
-// share an identity, exactly the granularity of lockedfield's
-// `// guarded by mu` annotations, whose fields this analyzer's locks
-// are. Within each function it tracks the lexically held set: an
+// share an identity, the granularity at which the tree's
+// `// guarded by mu` comments name their locks. Within each function it tracks the lexically held set: an
 // Unlock releases, a deferred Unlock holds to the end of the function.
 // Across functions it combines the call graph with a transitive
 // may-acquire summary per function, so

@@ -6,6 +6,7 @@ package cli
 import (
 	"fmt"
 	"math"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -18,8 +19,10 @@ import (
 // inspiral, montage, sdss) builds the synthetic paper dag, scaled down
 // by scale (1 = paper size); a classic repertoire name (mesh,
 // reduction, expansion, butterfly, pyramid) builds the corresponding
-// theory dag; anything else is treated as a DAGMan input file path.
-// The second result is a short label for reports.
+// theory dag; anything else is treated as a DAGMan input file path,
+// whose SPLICE statements are flattened with the spliced files
+// resolved relative to its directory. The second result is a short
+// label for reports.
 func LoadDag(spec string, scale int) (*dag.Frozen, string, error) {
 	for _, name := range workloads.Names() {
 		if spec == name {
@@ -46,6 +49,10 @@ func LoadDag(spec string, scale int) (*dag.Frozen, string, error) {
 	f, err := dagman.ParseFile(spec)
 	if err != nil {
 		return nil, "", fmt.Errorf("%q is not a workload name and could not be read as a DAGMan file: %w", spec, err)
+	}
+	f, err = f.Flatten(dagman.LoadSplice(filepath.Dir(spec)))
+	if err != nil {
+		return nil, "", err
 	}
 	g, err := f.Graph()
 	if err != nil {

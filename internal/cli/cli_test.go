@@ -55,6 +55,36 @@ func TestLoadDagFromFile(t *testing.T) {
 	}
 }
 
+// TestLoadDagSplice: a DAGMan file that splices another is flattened,
+// with the spliced file resolved relative to the outer file's
+// directory, not the working directory; a spliced file that is missing
+// is an error.
+func TestLoadDagSplice(t *testing.T) {
+	dir := t.TempDir()
+	for name, text := range map[string]string{
+		"outer.dag":    "Job x x.sub\nSplice S inner.dag\nParent x Child S\n",
+		"inner.dag":    "Job a a.sub\nJob b b.sub\nParent a Child b\n",
+		"dangling.dag": "Job x x.sub\nSplice S missing.dag\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, _, err := LoadDag(filepath.Join(dir, "outer.dag"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumNodes() != 3 || g.NumArcs() != 2 {
+		t.Fatalf("flattened dag has %d jobs and %d arcs, want 3 and 2", g.NumNodes(), g.NumArcs())
+	}
+	if src := g.Sources(); len(src) != 1 || g.Name(int(src[0])) != "x" {
+		t.Fatalf("sources = %v, want x alone", src)
+	}
+	if _, _, err := LoadDag(filepath.Join(dir, "dangling.dag"), 1); err == nil {
+		t.Fatal("a missing spliced file was accepted")
+	}
+}
+
 func TestLoadDagErrors(t *testing.T) {
 	if _, _, err := LoadDag("/does/not/exist.dag", 1); err == nil {
 		t.Fatal("missing file accepted")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/dag"
@@ -224,5 +225,22 @@ func TestCacheConcurrentPrioritize(t *testing.T) {
 	}
 	for i := 0; i < 8; i++ {
 		equalSchedules(t, fmt.Sprintf("concurrent[%d]", i), ref, <-done)
+	}
+}
+
+// TestCacheStatsWhileStoring: priod's /metrics reads a tenant cache's
+// Stats while requests store into it. The two goroutines share nothing
+// but the cache, so under -race (make check-race) a Stats that reads
+// the entry map without the cache's lock fails on every run, whatever
+// the interleaving.
+func TestCacheStatsWhileStoring(t *testing.T) {
+	c := NewCache()
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); c.store([]byte("sig"), 0, []int{0}, []int{1}) }()
+	go func() { defer wg.Done(); c.Stats() }()
+	wg.Wait()
+	if st := c.Stats(); st.Entries != 1 {
+		t.Fatalf("Entries = %d after one store, want 1", st.Entries)
 	}
 }

@@ -206,14 +206,22 @@ func TestInstrumentKeepsUnrelatedVars(t *testing.T) {
 	}
 }
 
+// TestInstrumentUnknownJobAppended: names no JOB declares get a VARS
+// line each at the end, sorted by name, so every call returns the same
+// bytes although priorities is a map. The calls repeat because one
+// call can meet the sorted order by chance.
 func TestInstrumentUnknownJobAppended(t *testing.T) {
 	f, err := Parse(strings.NewReader("Job a a.sub\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := f.Instrument(map[string]int{"a": 2, "ghost": 1})
-	if !strings.Contains(out, `Vars ghost jobpriority="1"`) {
-		t.Fatalf("missing appended vars:\n%s", out)
+	prios := map[string]int{"a": 2, "ghost": 1, "zed": 3, "bob": 4, "mia": 5}
+	want := `Vars bob jobpriority="4"` + "\n" + `Vars ghost jobpriority="1"` + "\n" +
+		`Vars mia jobpriority="5"` + "\n" + `Vars zed jobpriority="3"` + "\n"
+	for i := 0; i < 50; i++ {
+		if out := f.Instrument(prios); !strings.HasSuffix(out, want) {
+			t.Fatalf("call %d: appended vars not in name order:\n%s", i, out)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"sync"
 	"testing"
 )
 
@@ -109,5 +110,21 @@ func TestAppendJSONString(t *testing.T) {
 		if got != want {
 			t.Errorf("appendJSONString(%q) decodes to %q, encoding/json round-trips to %q", in, got, want)
 		}
+	}
+}
+
+// TestTenantSnapshotWhileGetting: /metrics snapshots the tenant
+// namespaces while requests create and touch them. The two goroutines
+// share nothing but tc, so under -race (make check-race) a snapshot or
+// get that skips tc.mu fails on every run, whatever the interleaving.
+func TestTenantSnapshotWhileGetting(t *testing.T) {
+	tc := newTenantCaches(2)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); tc.get("a") }()
+	go func() { defer wg.Done(); tc.snapshot() }()
+	wg.Wait()
+	if s := tc.snapshot(); s.Tenants != 1 {
+		t.Fatalf("Tenants = %d after one get, want 1", s.Tenants)
 	}
 }

@@ -747,6 +747,9 @@ func (st *runState) run(g *dag.Frozen, p Params, pol Policy, src *rng.Source, ob
 		panic(err)
 	}
 	n := g.NumNodes()
+	if m := len(p.JobMeans); m != 0 && m != n {
+		panic(fmt.Errorf("sim: JobMeans has %d entries for a dag of %d jobs", m, n))
+	}
 	if n == 0 {
 		return Metrics{}
 	}

@@ -26,7 +26,8 @@ type Params struct {
 	// JobMeans optionally overrides the mean running time per job
 	// (indexed by node), modelling heterogeneous jobs — the relaxation
 	// of the paper's equal-job-times assumption flagged as future work.
-	// Empty means every job uses JobTimeMean.
+	// Empty means every job uses JobTimeMean; otherwise it holds one
+	// entry per job, and a run panics on any other length.
 	JobMeans []float64
 	// RolloverWorkers flips the paper's "workers whose requests are not
 	// filled are not rolled over" assumption: when true, unfilled

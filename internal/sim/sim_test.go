@@ -390,3 +390,48 @@ func TestParamsValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestRunJobMeansLength: JobMeans is indexed by job, and Validate
+// cannot see the dag, so run refuses any length other than 0 or the
+// dag's job count before the first event, naming both lengths.
+func TestRunJobMeansLength(t *testing.T) {
+	g := workloads.AIRSN(15)
+	n := g.NumNodes()
+	for _, tc := range []struct {
+		name  string
+		means int
+		ok    bool
+	}{
+		{"empty", 0, true},
+		{"one per job", n, true},
+		{"too short", 2, false},
+		{"too long", n + 1, false},
+	} {
+		p := DefaultParams(1, 16)
+		p.JobMeans = make([]float64, tc.means)
+		for i := range p.JobMeans {
+			p.JobMeans[i] = 1
+		}
+		for _, entry := range []struct {
+			name string
+			run  func()
+		}{
+			{"Run", func() { Run(g, p, NewFIFO(), rng.New(1)) }},
+			{"Runner.Run", func() { NewRunner(g).Run(p, NewFIFO(), 1) }},
+		} {
+			var got interface{}
+			func() {
+				defer func() { got = recover() }()
+				entry.run()
+			}()
+			switch err, _ := got.(error); {
+			case tc.ok && got != nil:
+				t.Errorf("%s, %s: panicked with %v", tc.name, entry.name, got)
+			case !tc.ok && err == nil:
+				t.Errorf("%s, %s: recovered %v, want an error", tc.name, entry.name, got)
+			case !tc.ok && !strings.Contains(err.Error(), fmt.Sprintf("%d entries for a dag of %d jobs", tc.means, n)):
+				t.Errorf("%s, %s: %q does not name both lengths", tc.name, entry.name, err)
+			}
+		}
+	}
+}
